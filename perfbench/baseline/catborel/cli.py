@@ -1,0 +1,262 @@
+"""Command line surface.
+
+Every command is deterministic for fixed flags: enumerations are emitted
+in the library's fixed orders, JSON is dumped with sorted keys, and the
+worker count influences scheduling only, never output.  Exit codes:
+0 success, 1 usage error, 2 verification failure, 3 arithmetic overflow
+(reserved; the integer backend is arbitrary precision).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from collections import Counter
+
+from . import dyck, ideals, matrices, rootsys, supports, verify
+
+USAGE_EXIT = 1
+VERIFY_EXIT = 2
+OVERFLOW_EXIT = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse default exits with 2
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def _bfile(pairs) -> str:
+    return "".join(f"{k} {v}\n" for k, v in pairs)
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _json_dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def cmd_catalan_matrix(args) -> int:
+    c = matrices.catalan_matrix(args.n)
+    if args.format == "json":
+        _emit(_json_dump({"n": args.n, "entries": c.rows()}), args.out)
+    elif args.format == "csv":
+        _emit("".join(",".join(str(v) for v in row) + "\n" for row in c.rows()), args.out)
+    else:
+        _emit(matrices.format_table(c) + "\n", args.out)
+    return 0
+
+
+def cmd_cells(args) -> int:
+    n = args.n
+    if args.i is not None or args.j is not None:
+        if args.i is None or args.j is None:
+            raise ValueError("--i and --j must be given together")
+        words = [p.word for p in dyck.cell_paths(n, args.i, args.j)]
+        if args.format == "json":
+            _emit(_json_dump({"n": n, "i": args.i, "j": args.j, "paths": words}), args.out)
+        else:
+            _emit("".join(w + "\n" for w in words), args.out)
+        return 0
+    counts = [[len(dyck.cell_paths(n, i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    if args.format == "json":
+        _emit(_json_dump({"n": n, "counts": counts}), args.out)
+    elif args.format == "csv":
+        _emit("".join(",".join(str(v) for v in row) + "\n" for row in counts), args.out)
+    else:
+        _emit(matrices.format_table(matrices.matrix(counts)) + "\n", args.out)
+    return 0
+
+
+def cmd_bn(args) -> int:
+    upto = args.upto
+    values = [(n, ideals.b_count_formula(n)) for n in range(1, upto + 1)]
+    if args.format == "json":
+        _emit(_json_dump({"sequence": [{"n": n, "value": v} for n, v in values]}), args.out)
+    elif args.format == "csv":
+        _emit("n,value\n" + "".join(f"{n},{v}\n" for n, v in values), args.out)
+    else:
+        _emit(_bfile(values), args.out)
+    return 0
+
+
+def cmd_enumerate_basic(args) -> int:
+    records = [ideals.ideal_record(b) for b in ideals.enumerate_basic(args.n, args.threads)]
+    if args.format == "json":
+        _emit(_json_dump(records), args.out)
+    else:
+        lines = [
+            f"{r['p']} {r['q']} gens={r['generators']} qa={int(r['quasi_abelian'])} "
+            f"nd={r['nd_plus']} qnd={r['qnd']}"
+            for r in records
+        ]
+        _emit("".join(line + "\n" for line in lines), args.out)
+    return 0
+
+
+def cmd_quasi_abelian(args) -> int:
+    values = [(n, ideals.quasi_abelian_count(n)) for n in range(1, args.upto + 1)]
+    if args.format == "json":
+        _emit(_json_dump({"sequence": [{"n": n, "value": v} for n, v in values]}), args.out)
+    else:
+        _emit(_bfile(values), args.out)
+    return 0
+
+
+def cmd_qnd_histogram(args) -> int:
+    hist = Counter(ideals.qnd_direct(b) for b in ideals.basic_ideals(args.n))
+    pairs = sorted(hist.items())
+    if args.format == "json":
+        _emit(_json_dump({"n": args.n, "histogram": [{"qnd": k, "count": v} for k, v in pairs]}), args.out)
+    else:
+        _emit(_bfile(pairs), args.out)
+    return 0
+
+
+def cmd_support_classes(args) -> int:
+    classes = supports.enumerate_classes(args.n, args.threads)
+    if args.format == "json":
+        records = [supports.class_record(t, case, args.level) for t, case in classes]
+        _emit(_json_dump(records), args.out)
+    elif args.format == "csv":
+        counts = Counter(case for _, case in classes)
+        body = "".join(
+            f"{args.n},{args.level},{case},{counts[case]}\n"
+            for case in sorted(counts)
+        )
+        _emit("n,level,case,count\n" + body, args.out)
+    elif args.format == "bfile":
+        values = [(n, len(supports.enumerate_classes(n, args.threads))) for n in range(1, args.n + 1)]
+        _emit(_bfile(values), args.out)
+    else:
+        lines = [" ".join(t.words()) + f" case={case}" for t, case in classes]
+        _emit("".join(line + "\n" for line in lines), args.out)
+    return 0
+
+
+def cmd_split_search(args) -> int:
+    rs = rootsys.build_root_system(args.type)
+    hits = rootsys.highest_root_split_search(rs)
+    payload = {
+        "type": rs.label,
+        "positive_roots": len(rs.positive_roots),
+        "violations": [[list(x) for x in triple] for triple in hits],
+    }
+    if args.format == "json":
+        _emit(_json_dump(payload), args.out)
+    else:
+        _emit(f"{rs.label}: {len(hits)} violating splits\n", args.out)
+    return 0 if not hits else VERIFY_EXIT
+
+
+def cmd_order_check(args) -> int:
+    poset = rootsys.window(rootsys.build_root_system(args.type))
+    same = rootsys.orders_coincide(poset)
+    if args.format == "json":
+        _emit(
+            _json_dump(
+                {
+                    "type": args.type,
+                    "window_size": len(poset.elements),
+                    "orders_coincide": same,
+                    "covers": poset.cover_relations(),
+                }
+            ),
+            args.out,
+        )
+    else:
+        _emit(f"{args.type}: |D|={len(poset.elements)} orders_coincide={same}\n", args.out)
+    return 0 if same else VERIFY_EXIT
+
+
+def cmd_verify(args) -> int:
+    names = verify.SUITES if args.suite == "all" else (args.suite,)
+    checks = verify.run_suites(names, max_n=args.max_n, include_e78=args.include_e78)
+    lines = [
+        f"{'PASS' if c.ok else 'FAIL'} {c.suite}.{c.name}: {c.detail}" for c in checks
+    ]
+    passed = sum(c.ok for c in checks)
+    lines.append(f"{passed}/{len(checks)} checks passed (max-n {args.max_n})")
+    _emit("".join(line + "\n" for line in lines), args.out)
+    return 0 if passed == len(checks) else VERIFY_EXIT
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="catborel", description=__doc__)
+    default_threads = int(os.environ.get("CATBOREL_THREADS", "1"))
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, fn, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(fn=fn)
+        p.add_argument("--format", choices=("table", "json", "csv", "bfile"), default="table")
+        p.add_argument("--out", metavar="PATH", default=None)
+        p.add_argument("--threads", type=int, default=default_threads)
+        return p
+
+    p = add("catalan-matrix", cmd_catalan_matrix, help="print the n-th cell-count matrix")
+    p.add_argument("n", type=int)
+
+    p = add("cells", cmd_cells, help="cell counts, or the paths of one cell")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--i", type=int, default=None)
+    p.add_argument("--j", type=int, default=None)
+
+    p = add("bn", cmd_bn, help="the basic-ideal counting sequence")
+    p.add_argument("--upto", type=int, required=True)
+    p.set_defaults(format="bfile")
+
+    p = add("enumerate-basic", cmd_enumerate_basic, help="list all basic ideals with invariants")
+    p.add_argument("--n", type=int, required=True)
+
+    p = add("quasi-abelian", cmd_quasi_abelian, help="quasi-abelian ideal counts")
+    p.add_argument("--upto", type=int, required=True)
+    p.set_defaults(format="bfile")
+
+    p = add("qnd-histogram", cmd_qnd_histogram, help="histogram of quasi-nilpotency degrees")
+    p.add_argument("--n", type=int, required=True)
+
+    p = add("support-classes", cmd_support_classes, help="level-normalized support classes")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--level", type=int, default=1)
+
+    p = add("split-search", cmd_split_search, help="search for forbidden highest-root splits")
+    p.add_argument("--type", required=True, metavar="LABEL")
+
+    p = add("order-check", cmd_order_check, help="compare the two window orders")
+    p.add_argument("--type", required=True, metavar="LABEL")
+
+    p = add("verify", cmd_verify, help="run the self-verification suites")
+    p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
+    p.add_argument("--max-n", type=int, default=6, dest="max_n")
+    p.add_argument("--include-e78", action="store_true", dest="include_e78")
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error("--threads must be at least 1")
+    try:
+        return args.fn(args)
+    except (ValueError, KeyError) as exc:
+        sys.stderr.write(f"catborel: error: {exc}\n")
+        return USAGE_EXIT
+    except (OverflowError, MemoryError, AssertionError, RuntimeError) as exc:
+        # arithmetic failure or a breached internal invariant
+        sys.stderr.write(f"catborel: internal failure: {exc}\n")
+        return OVERFLOW_EXIT
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,306 @@
+"""Dyck paths with the peak and valley statistics used throughout the
+package.
+
+A Dyck path of semilength n is a word of n rises 'r' and n falls 'f'
+whose prefixes never contain more falls than rises; equivalently a
+lattice path from (0,0) to (2n,0) with steps (1,1) and (1,-1) that stays
+weakly above the x-axis.  A peak is a point where a rise is followed by
+a fall, a valley a point where a fall is followed by a rise; the height
+of either is its y-coordinate.
+
+Paths are grouped into cells by the pair (first peak height, last peak
+height).  The cells are enumerated here by brute force, counted by two
+closed formulas (a ballot-style triangle and a reflection-principle
+binomial difference), and every cell has a unique dominance-minimal
+member which is computed as the pointwise minimum over the cell.  The
+``min_partner`` of a path p is the minimal member of the reflected cell
+(n - last, n - first); it is the dominance threshold that a second path
+must clear to be compatible with p in the pairing used by
+:mod:`catborel.ideals`.
+
+Word order is always lexicographic with 'f' < 'r', which makes every
+enumeration in this module deterministic.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+RISE = "r"
+FALL = "f"
+
+
+@dataclass(frozen=True)
+class DyckPath:
+    word: str
+
+    def __post_init__(self) -> None:
+        bad = set(self.word) - {RISE, FALL}
+        if bad:
+            raise ValueError(f"invalid step characters: {sorted(bad)!r}")
+        if len(self.word) == 0 or len(self.word) % 2 != 0:
+            raise ValueError("word length must be a positive even number")
+        height = 0
+        for pos, step in enumerate(self.word, start=1):
+            height += 1 if step == RISE else -1
+            if height < 0:
+                raise ValueError(f"prefix of length {pos} has more falls than rises")
+        if height != 0:
+            raise ValueError("word must contain equally many rises and falls")
+
+    def __str__(self) -> str:
+        return self.word
+
+    @property
+    def semilength(self) -> int:
+        return len(self.word) // 2
+
+    @cached_property
+    def heights(self) -> tuple[int, ...]:
+        """Heights h(0..2n) of the path profile."""
+        out = [0]
+        for step in self.word:
+            out.append(out[-1] + (1 if step == RISE else -1))
+        return tuple(out)
+
+    @cached_property
+    def peaks(self) -> tuple[tuple[int, int], ...]:
+        """(x, height) of every peak, left to right."""
+        w = self.word
+        return tuple(
+            (x, self.heights[x]) for x in range(1, len(w)) if w[x - 1] == RISE and w[x] == FALL
+        )
+
+    @cached_property
+    def valleys(self) -> tuple[tuple[int, int], ...]:
+        """(x, height) of every valley, left to right."""
+        w = self.word
+        return tuple(
+            (x, self.heights[x]) for x in range(1, len(w)) if w[x - 1] == FALL and w[x] == RISE
+        )
+
+    @property
+    def first_peak(self) -> int:
+        return self.peaks[0][1]
+
+    @property
+    def last_peak(self) -> int:
+        return self.peaks[-1][1]
+
+    def reflect(self) -> "DyckPath":
+        """Reverse the word and swap rises with falls (mirror at x = n)."""
+        swapped = {RISE: FALL, FALL: RISE}
+        return DyckPath("".join(swapped[s] for s in reversed(self.word)))
+
+
+@dataclass(frozen=True)
+class PathStats:
+    first_peak: int
+    last_peak: int
+    peak_xs: tuple[tuple[int, int], ...]
+    valley_xs: tuple[tuple[int, int], ...]
+    v_count_by_height: dict[int, int]
+    p_at_least: dict[int, int]
+
+
+def parse(word: str) -> DyckPath:
+    return DyckPath(word)
+
+
+def stats(p: DyckPath) -> PathStats:
+    n = p.semilength
+    v_count = {h: 0 for h in range(n)}
+    for _, h in p.valleys:
+        v_count[h] += 1
+    # p_at_least[i] counts peaks of height at least i + 1
+    p_at_least = {
+        i: sum(1 for _, h in p.peaks if h >= i + 1) for i in range(1, n + 1)
+    }
+    return PathStats(
+        first_peak=p.first_peak,
+        last_peak=p.last_peak,
+        peak_xs=p.peaks,
+        valley_xs=p.valleys,
+        v_count_by_height=v_count,
+        p_at_least=p_at_least,
+    )
+
+
+def peaks_at_least(p: DyckPath, height: int) -> int:
+    return sum(1 for _, h in p.peaks if h >= height)
+
+
+def valley_xs_at_height(p: DyckPath, height: int) -> frozenset[int]:
+    return frozenset(x for x, h in p.valleys if h == height)
+
+
+def pyramid(n: int) -> DyckPath:
+    """The maximum path r^n f^n (single peak, no valleys)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return DyckPath(RISE * n + FALL * n)
+
+
+def staircase(n: int) -> DyckPath:
+    """The minimum path (rf)^n (n peaks of height 1)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return DyckPath((RISE + FALL) * n)
+
+
+def star(p: DyckPath) -> DyckPath:
+    return p.reflect()
+
+
+def path_leq(p: DyckPath, q: DyckPath) -> bool:
+    """True when q never goes below p (pointwise height comparison)."""
+    if p.semilength != q.semilength:
+        raise ValueError("paths must have equal semilength")
+    return all(hp <= hq for hp, hq in zip(p.heights, q.heights))
+
+
+@lru_cache(maxsize=None)
+def all_paths(n: int) -> tuple[DyckPath, ...]:
+    """Every Dyck path of semilength n, in word order with 'f' < 'r'."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    out: list[DyckPath] = []
+    word: list[str] = []
+
+    def go(height: int, rises_left: int) -> None:
+        if rises_left == 0 and height == 0:
+            out.append(DyckPath("".join(word)))
+            return
+        if height > 0:
+            word.append(FALL)
+            go(height - 1, rises_left)
+            word.pop()
+        if rises_left > 0:
+            word.append(RISE)
+            go(height + 1, rises_left - 1)
+            word.pop()
+
+    go(0, n)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def cell_paths(n: int, i: int, j: int) -> tuple[DyckPath, ...]:
+    """Paths of semilength n with first peak height i and last peak height j.
+
+    Index 0 in either slot names an empty cell by convention.
+    """
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError(f"cell indices must lie in 0..{n}")
+    if i == 0 or j == 0:
+        return ()
+    return tuple(p for p in all_paths(n) if p.first_peak == i and p.last_peak == j)
+
+
+def catalan_number(n: int) -> int:
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def delete_first_peak(p: DyckPath) -> DyckPath:
+    """Remove the leftmost 'rf' factor, shortening the semilength by one."""
+    if p.semilength < 2:
+        raise ValueError("path must have semilength at least 2")
+    k = p.word.find(RISE + FALL)
+    return DyckPath(p.word[:k] + p.word[k + 2 :])
+
+
+def insert_peak_after_rises(p: DyckPath, i: int) -> DyckPath:
+    """Insert an 'rf' factor right after the first i - 1 rises."""
+    if i < 1:
+        raise ValueError("i must be at least 1")
+    if i - 1 > p.semilength:
+        raise ValueError(f"path has fewer than {i - 1} rises")
+    seen = 0
+    pos = 0
+    while seen < i - 1:
+        if p.word[pos] == RISE:
+            seen += 1
+        pos += 1
+    return DyckPath(p.word[:pos] + RISE + FALL + p.word[pos:])
+
+
+def _path_from_heights(heights: tuple[int, ...]) -> DyckPath:
+    word = []
+    for a, b in zip(heights, heights[1:]):
+        word.append(RISE if b > a else FALL)
+    return DyckPath("".join(word))
+
+
+@lru_cache(maxsize=None)
+def cell_min(n: int, a: int, b: int) -> DyckPath:
+    """The dominance-minimal member of the cell (a, b).
+
+    Computed as the pointwise minimum of the height profiles over the
+    cell; the cells are meet-closed, so the minimum is itself a member.
+    """
+    members = cell_paths(n, a, b)
+    if not members:
+        raise ValueError(f"cell ({a},{b}) of semilength {n} is empty")
+    profile = members[0].heights
+    for p in members[1:]:
+        profile = tuple(min(x, y) for x, y in zip(profile, p.heights))
+    low = _path_from_heights(profile)
+    if low.first_peak != a or low.last_peak != b:
+        raise RuntimeError(f"cell ({a},{b}) is not meet-closed at n={n}")
+    return low
+
+
+def min_partner(p: DyckPath) -> DyckPath:
+    """Minimal member of the reflected cell (n - last peak, n - first peak).
+
+    The degenerate target (0, 0), reached only by the pyramid, is
+    remapped to the cell (1, 1), whose minimum is the staircase.
+    """
+    n = p.semilength
+    a = n - p.last_peak
+    b = n - p.first_peak
+    if a == 0 and b == 0:
+        a = b = 1
+    return cell_min(n, a, b)
+
+
+def floor_gap_points(p: DyckPath) -> frozenset[int]:
+    """Even x-coordinates 2m, 0 < 2m < 2n, whose triple {2m-2, 2m, 2m+2}
+    is not fully covered by height-0 valleys and the two endpoints."""
+    n = p.semilength
+    pinned = set(valley_xs_at_height(p, 0)) | {0, 2 * n}
+    return frozenset(
+        2 * m
+        for m in range(1, n)
+        if any(x not in pinned for x in (2 * m - 2, 2 * m, 2 * m + 2))
+    )
+
+
+def catalan_triangle(i: int, j: int) -> int:
+    """Ballot-style triangle entry: each entry is the sum of the entry
+    above and the entry to the left; row i, column j, 0-based."""
+    if not 0 <= j <= i:
+        raise ValueError("need 0 <= j <= i")
+    num = math.factorial(i + j) * (i - j + 1)
+    den = math.factorial(j) * math.factorial(i + 1)
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError("triangle entry is not an integer")
+    return q
+
+
+def _binom(n: int, k: int) -> int:
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def cell_count_formula(n: int, i: int, j: int) -> int:
+    """Closed form for the size of cell (i, j), 1 <= i, j <= n - 1: a
+    difference of two binomials from the reflection principle."""
+    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
+        raise ValueError("need 1 <= i, j <= n - 1")
+    top = (n - 1 - i) + (n - 1 - j)
+    return _binom(top, n - 1 - i) - _binom(top, n - i - j - 1)

@@ -1,0 +1,618 @@
+"""Basic ideals of the loop Borel in type A, in interval coordinates.
+
+Positive roots of sl_n are consecutive sums of simple roots and are
+stored as 1-based intervals (i, j) inside 1..n-1.  A basic ideal is a
+pair of interval sets: ``s_plus`` holds the degree-zero roots present in
+the support, ``s_minus`` the positive roots a whose opposite appears at
+loop degree one.  Together with the imaginary root, the pair has to be
+upward closed in the window order, which in interval terms means:
+
+* s_plus contains every superinterval of each of its members,
+* s_minus contains every subinterval of each of its members,
+* whenever s_plus is nonempty, s_minus contains every interval disjoint
+  from some member of s_plus.
+
+The pair is equivalently encoded as a pair of Dyck paths via a grid
+walk: rows index the left endpoint of a positive interval, columns the
+right endpoint shifted by one, and the path traces the staircase that
+separates present boxes from absent ones.  The pairs of paths that
+arise this way are exactly those passing the peak-threshold test of
+:func:`is_admissible`, and equivalently those with ``q`` above the
+``min_partner`` of ``p``.
+
+On top of the encoding sit the counting formulas, the generator count,
+the quasi-abelian test, the quasi-nilpotency degree, and a matrix
+oracle (:func:`verify_basic_in_truncation`) that replays the ideal
+property with honest brackets in a truncated loop algebra, independent
+of all the interval bookkeeping above.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .dyck import DyckPath, all_paths, min_partner, path_leq, peaks_at_least
+from .loopalgebra import (
+    Span,
+    TruncatedLoopAlgebra,
+    borel_generators,
+    cartan_basis,
+    coroot_vector,
+    stable_under,
+)
+from .matrices import catalan_matrix, dot, omega
+from .rootsys import WindowRoot
+
+Interval = tuple[int, int]
+
+
+def intervals(n: int) -> list[Interval]:
+    """All positive-root intervals of rank n - 1, sorted."""
+    return [(i, j) for i in range(1, n) for j in range(i, n)]
+
+
+def _check_interval(n: int, iv: Interval) -> None:
+    i, j = iv
+    if not (1 <= i <= j <= n - 1):
+        raise ValueError(f"interval {iv} outside 1..{n - 1}")
+
+
+def _contains(outer: Interval, inner: Interval) -> bool:
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
+
+
+def _disjoint(a: Interval, b: Interval) -> bool:
+    return a[1] < b[0] or b[1] < a[0]
+
+
+def _sum_root(a: Interval, b: Interval) -> Interval | None:
+    """a + b when the concatenation is again an interval, else None."""
+    if a[1] + 1 == b[0]:
+        return (a[0], b[1])
+    if b[1] + 1 == a[0]:
+        return (b[0], a[1])
+    return None
+
+
+def _difference_root(mu: Interval, alpha: Interval) -> Interval | None:
+    """mu - alpha when alpha sits at an end of mu properly, else None."""
+    if mu == alpha or not _contains(mu, alpha):
+        return None
+    if mu[0] == alpha[0]:
+        return (alpha[1] + 1, mu[1])
+    if mu[1] == alpha[1]:
+        return (mu[0], alpha[0] - 1)
+    return None
+
+
+@dataclass(frozen=True)
+class BasicIdeal:
+    """Window support of a basic ideal, as the two interval sets."""
+
+    n: int
+    s_plus: frozenset[Interval]
+    s_minus: frozenset[Interval]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        for iv in self.s_plus | self.s_minus:
+            _check_interval(self.n, iv)
+        for i, j in self.s_plus:
+            if i > 1 and (i - 1, j) not in self.s_plus:
+                raise ValueError(f"s_plus misses superinterval of {(i, j)}")
+            if j < self.n - 1 and (i, j + 1) not in self.s_plus:
+                raise ValueError(f"s_plus misses superinterval of {(i, j)}")
+        for i, j in self.s_minus:
+            if i < j and ((i + 1, j) not in self.s_minus or (i, j - 1) not in self.s_minus):
+                raise ValueError(f"s_minus misses subinterval of {(i, j)}")
+        # disjointness closure; the two extreme flanks suffice by subinterval closure
+        for i, j in self.s_plus:
+            if i > 1 and (1, i - 1) not in self.s_minus:
+                raise ValueError(f"support not upward closed: {(1, i - 1)} missing")
+            if j < self.n - 1 and (j + 1, self.n - 1) not in self.s_minus:
+                raise ValueError(f"support not upward closed: {(j + 1, self.n - 1)} missing")
+
+    def window_support(self) -> frozenset[WindowRoot]:
+        """The support inside the window, imaginary root included."""
+        out = {WindowRoot(_coords(self.n, iv), 0) for iv in self.s_plus}
+        out.add(WindowRoot(tuple(0 for _ in range(self.n - 1)), 1))
+        out |= {
+            WindowRoot(tuple(-c for c in _coords(self.n, iv)), 1) for iv in self.s_minus
+        }
+        return frozenset(out)
+
+
+def _coords(n: int, iv: Interval) -> tuple[int, ...]:
+    i, j = iv
+    return tuple(1 if i <= k <= j else 0 for k in range(1, n))
+
+
+def _interval_of_coords(coords: tuple[int, ...]) -> Interval:
+    ones = [k for k, c in enumerate(coords, start=1) if c == 1]
+    if not ones or any(c not in (0, 1) for c in coords):
+        raise ValueError(f"{coords} is not a type A positive root")
+    if ones != list(range(ones[0], ones[-1] + 1)):
+        raise ValueError(f"{coords} is not a consecutive-sum root")
+    return (ones[0], ones[-1])
+
+
+@dataclass(frozen=True)
+class DyckPair:
+    p: DyckPath
+    q: DyckPath
+
+    def __post_init__(self) -> None:
+        if self.p.semilength != self.q.semilength:
+            raise ValueError("paths in a pair must share semilength")
+
+
+# ---------------------------------------------------------------------------
+# grid encoding
+
+
+def plus_path(n: int, s_plus) -> DyckPath:
+    """Path tracing the staircase below the s_plus boxes: the i-th fall of
+    the word is preceded by n - (number of intervals starting at i) rises."""
+    ivs = set(s_plus)
+    starts = [0] * (n + 1)
+    for i, j in ivs:
+        _check_interval(n, (i, j))
+        starts[i] += 1
+    word = []
+    prev = 0
+    for i in range(1, n + 1):
+        d = n - starts[i]
+        # per start index the right endpoints must fill the top suffix
+        if d < prev or any((i, j) not in ivs for j in range(d, n)):
+            raise ValueError("interval set is not upward closed")
+        word.append("r" * (d - prev) + "f")
+        prev = d
+    return DyckPath("".join(word))
+
+
+def minus_path(n: int, s_minus) -> DyckPath:
+    """Path tracing the staircase below the s_minus boxes: the j-th fall is
+    preceded by j + (number of intervals starting at j) rises."""
+    ivs = set(s_minus)
+    starts = [0] * (n + 1)
+    for i, j in ivs:
+        _check_interval(n, (i, j))
+        starts[i] += 1
+    word = []
+    prev = 0
+    for j in range(1, n + 1):
+        d = j + starts[j]
+        # per start index the right endpoints must fill the bottom prefix
+        if d < prev or any((j, j + k) not in ivs for k in range(starts[j])):
+            raise ValueError("interval set is not subinterval closed")
+        word.append("r" * (d - prev) + "f")
+        prev = d
+    return DyckPath("".join(word))
+
+
+def _rises_before_falls(p: DyckPath) -> list[int]:
+    out = []
+    rises = 0
+    for step in p.word:
+        if step == "r":
+            rises += 1
+        else:
+            out.append(rises)
+    return out
+
+
+def plus_intervals(p: DyckPath) -> frozenset[Interval]:
+    n = p.semilength
+    depth = _rises_before_falls(p)
+    return frozenset((i, j) for i in range(1, n) for j in range(depth[i - 1], n))
+
+
+def minus_intervals(q: DyckPath) -> frozenset[Interval]:
+    n = q.semilength
+    depth = _rises_before_falls(q)
+    return frozenset(
+        (j, j + k) for j in range(1, n) for k in range(depth[j - 1] - j)
+    )
+
+
+def phi(b: BasicIdeal) -> DyckPair:
+    return DyckPair(plus_path(b.n, b.s_plus), minus_path(b.n, b.s_minus))
+
+
+def phi_inv(p: DyckPath, q: DyckPath) -> BasicIdeal:
+    if not is_admissible(p, q):
+        raise ValueError(f"pair ({p}, {q}) is not admissible")
+    return BasicIdeal(p.semilength, plus_intervals(p), minus_intervals(q))
+
+
+def is_admissible(p: DyckPath, q: DyckPath) -> bool:
+    """Peak-threshold test: with k, m the first and last peak heights of p,
+    the first peak of q must reach n - m and its last peak n - k."""
+    n = p.semilength
+    if q.semilength != n:
+        raise ValueError("paths must share semilength")
+    return q.first_peak >= n - p.last_peak and q.last_peak >= n - p.first_peak
+
+
+# ---------------------------------------------------------------------------
+# antichain normal form
+
+
+def _window_entry(w: WindowRoot) -> tuple[str, Interval | None]:
+    if w.kind == "delta":
+        return ("delta", None)
+    coords = w.finite if w.kind == "pos" else tuple(-c for c in w.finite)
+    return (w.kind, _interval_of_coords(coords))
+
+
+def _entry_leq(x, y) -> bool:
+    """The window order on tagged intervals."""
+    kx, ix = x
+    ky, iy = y
+    if ky == "delta":
+        return True
+    if kx == "delta":
+        return False
+    if kx == "pos" and ky == "pos":
+        return _contains(iy, ix)
+    if kx == "pos" and ky == "neg":
+        return _disjoint(ix, iy)
+    if kx == "neg" and ky == "neg":
+        return _contains(ix, iy)
+    return False
+
+
+def from_antichain(n: int, antichain) -> BasicIdeal:
+    """Materialize the upward closure of a nonempty window antichain."""
+    entries = [_window_entry(w) for w in antichain]
+    if not entries:
+        raise ValueError("antichain must be nonempty")
+    for a in entries:
+        for b in entries:
+            if a != b and _entry_leq(a, b):
+                raise ValueError("input is not an antichain")
+    s_plus = set()
+    s_minus = set()
+    for iv in intervals(n):
+        if any(_entry_leq(e, ("pos", iv)) for e in entries):
+            s_plus.add(iv)
+        if any(_entry_leq(e, ("neg", iv)) for e in entries):
+            s_minus.add(iv)
+    return BasicIdeal(n, frozenset(s_plus), frozenset(s_minus))
+
+
+def antichain_of(b: BasicIdeal) -> frozenset[WindowRoot]:
+    """Minimal window-support elements; inverse of :func:`from_antichain`."""
+    entries = [("pos", iv) for iv in sorted(b.s_plus)] + [
+        ("neg", iv) for iv in sorted(b.s_minus)
+    ]
+    if not entries:
+        return frozenset({WindowRoot(tuple(0 for _ in range(b.n - 1)), 1)})
+    minimal = [
+        e for e in entries if not any(o != e and _entry_leq(o, e) for o in entries)
+    ]
+    out = set()
+    for kind, iv in minimal:
+        coords = _coords(b.n, iv)
+        if kind == "neg":
+            coords = tuple(-c for c in coords)
+        out.add(WindowRoot(coords, 0 if kind == "pos" else 1))
+    return frozenset(out)
+
+
+def principal(n: int, root: WindowRoot) -> BasicIdeal:
+    return from_antichain(n, [root])
+
+
+# ---------------------------------------------------------------------------
+# enumeration and counting
+
+
+def enumerate_basic(n: int, threads: int = 1) -> list[BasicIdeal]:
+    """All basic ideals, ordered by the word pair of their Dyck encoding."""
+    paths = all_paths(n)
+
+    def ideals_for(p: DyckPath) -> list[BasicIdeal]:
+        return [
+            BasicIdeal(n, plus_intervals(p), minus_intervals(q))
+            for q in paths
+            if is_admissible(p, q)
+        ]
+
+    return [b for chunk in _map_ordered(ideals_for, paths, threads) for b in chunk]
+
+
+def _map_ordered(fn, items, threads: int):
+    if threads <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def b_count_formula(n: int) -> int:
+    """Dot product of the cell-count matrix with its block-sum image."""
+    c = catalan_matrix(n)
+    return dot(c, omega(c))
+
+
+def b_count_cellsum(n: int) -> int:
+    """The same count as an explicit fourfold sum over matrix entries."""
+    c = catalan_matrix(n)
+
+    def entry(i: int, j: int) -> int:
+        if 1 <= i <= n and 1 <= j <= n:
+            return c.entry(i, j)
+        return 0
+
+    total = 0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            inner = sum(
+                entry(k, m)
+                for k in range(max(1, n - i), n + 1)
+                for m in range(max(1, n - j), n + 1)
+            )
+            total += entry(i, j) * inner
+    return total
+
+
+# ---------------------------------------------------------------------------
+# generators
+
+
+def generators_direct(b: BasicIdeal) -> int:
+    """Number of minimal real support elements; one for the minimum ideal,
+    whose only removable root is the imaginary one."""
+    entries = [("pos", iv) for iv in b.s_plus] + [("neg", iv) for iv in b.s_minus]
+    if not entries:
+        return 1
+    return sum(
+        1
+        for e in entries
+        if not any(o != e and _entry_leq(o, e) for o in entries)
+    )
+
+
+def generators_formula(b: BasicIdeal) -> int:
+    """Peak and valley count for the generators.
+
+    Counts the valleys of p plus the peaks of q of height at least two,
+    then drops the first (resp. last) peak of q when it coincides in
+    height with the first (resp. last) peak of the minimal partner of p.
+    Each correction applies only when the coinciding peak has height at
+    least two, i.e. only when that peak was actually counted.
+    """
+    if not b.s_plus and not b.s_minus:
+        return 1
+    pair = phi(b)
+    n = b.n
+    a, bb = pair.p.first_peak, pair.p.last_peak
+    c, d = pair.q.first_peak, pair.q.last_peak
+    count = len(pair.p.valleys) + peaks_at_least(pair.q, 2)
+    if d == n - a and n - a >= 2:
+        count -= 1
+    if c == n - bb and n - bb >= 2:
+        count -= 1
+    return count
+
+
+# ---------------------------------------------------------------------------
+# quasi-abelian ideals and the quasi-nilpotency degree
+
+
+def is_quasi_abelian(b: BasicIdeal) -> bool:
+    pair = phi(b)
+    return path_leq(min_partner(pair.p), pair.q) and path_leq(pair.q, pair.p)
+
+
+def quasi_abelian_count(n: int) -> int:
+    paths = all_paths(n)
+    count = 0
+    for p in paths:
+        lo = min_partner(p)
+        for q in paths:
+            if is_admissible(p, q) and path_leq(lo, q) and path_leq(q, p):
+                count += 1
+    return count
+
+
+def _plus_power_supports(b: BasicIdeal) -> list[frozenset[Interval]]:
+    """Supports of the lower central series of the degree-zero part, from
+    the first power down to the empty one."""
+    out = [frozenset(b.s_plus)]
+    while out[-1]:
+        cur = out[-1]
+        nxt = set()
+        for alpha in cur:
+            for beta in b.s_plus:
+                s = _sum_root(alpha, beta)
+                if s is not None:
+                    nxt.add(s)
+        out.append(frozenset(nxt))
+    return out
+
+
+def nd_plus(b: BasicIdeal) -> int:
+    """Nilpotency degree of the degree-zero part at root level."""
+    return len(_plus_power_supports(b)) - 1
+
+
+def qnd_direct(b: BasicIdeal) -> int:
+    """Quasi-nilpotency degree by running the lower central series in the
+    degree-truncated quotient.
+
+    Tracks the degree-zero support, the shifted-negative support, and the
+    imaginary-root component as a subspace of the Cartan spanned by the
+    coroots of annihilating pairs; brackets with that central component
+    leave the window and are dropped.
+    """
+    n = b.n
+    if n == 1:
+        return 1
+    plus0 = b.s_plus
+    minus0 = b.s_minus
+    p_cur: frozenset[Interval] = frozenset(plus0)
+    n_cur: frozenset[Interval] = frozenset(minus0)
+    h_dim = n - 1
+    m = 0
+    while p_cur or n_cur or h_dim:
+        p_next = set()
+        for alpha in p_cur:
+            for beta in plus0:
+                s = _sum_root(alpha, beta)
+                if s is not None:
+                    p_next.add(s)
+        n_next = set()
+        for mu_set, al_set in ((n_cur, plus0), (minus0, p_cur)):
+            for mu in mu_set:
+                for alpha in al_set:
+                    d = _difference_root(mu, alpha)
+                    if d is not None:
+                        n_next.add(d)
+        pairs = (p_cur & minus0) | (n_cur & plus0)
+        h_dim = _span_dimension(n, pairs)
+        p_cur, n_cur = frozenset(p_next), frozenset(n_next)
+        m += 1
+    return m
+
+
+def _span_dimension(n: int, ivs) -> int:
+    rows = [list(coroot_vector(n, iv)) for iv in sorted(ivs)]
+    dim = 0
+    col = 0
+    while rows and col < n:
+        piv = next((r for r in rows if r[col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows = [
+            [a * piv[col] - b * r[col] for a, b in zip(r, piv)]
+            for r in rows
+            if r is not piv
+        ]
+        dim += 1
+        col += 1
+    return dim
+
+
+def qnd_from_plus_degree(b: BasicIdeal) -> int:
+    """Quasi-nilpotency degree from the degree-zero nilpotency degree m:
+    it is 1 when m = 0, and otherwise m unless some member of s_minus
+    also lies in the support of the (m-1)-st power of the degree-zero
+    part, in which case it is m + 1."""
+    powers = _plus_power_supports(b)
+    m = len(powers) - 1
+    if m == 0:
+        return 1
+    return m + 1 if powers[m - 1] & b.s_minus else m
+
+
+# ---------------------------------------------------------------------------
+# shift normal form
+
+
+def normalize_support(n: int, shifted_roots) -> BasicIdeal:
+    """Recover the basic representative from a uniformly shifted window
+    support given as (window root, shift) pairs; entries above the
+    minimal shift belong to the implied tail and are only shape-checked.
+    """
+    items = list(shifted_roots)
+    if not items:
+        raise ValueError("support description is empty")
+    for w, _ in items:
+        _window_entry(w)  # validates the root shape
+    k0 = min(k for _, k in items)
+    base = [w for w, k in items if k == k0]
+    s_plus = set()
+    s_minus = set()
+    saw_delta = False
+    for w in base:
+        kind, iv = _window_entry(w)
+        if kind == "pos":
+            s_plus.add(iv)
+        elif kind == "neg":
+            s_minus.add(iv)
+        else:
+            saw_delta = True
+    if not saw_delta:
+        raise ValueError("minimal layer of a shifted basic support must contain delta")
+    return BasicIdeal(n, frozenset(s_plus), frozenset(s_minus))
+
+
+# ---------------------------------------------------------------------------
+# matrix oracle
+
+
+def _ideal_algebra(n: int) -> TruncatedLoopAlgebra:
+    return TruncatedLoopAlgebra(n, ("upper", "lower_diag"))
+
+
+def support_span(b: BasicIdeal) -> Span:
+    """The candidate span of a basic datum in the two-degree quotient:
+    unit matrices for the real support and the full Cartan at degree one."""
+    alg = _ideal_algebra(b.n)
+    units = {(0, i, j + 1) for i, j in b.s_plus} | {(1, j + 1, i) for i, j in b.s_minus}
+    return Span(alg, frozenset(units), {1: cartan_basis(b.n)})
+
+
+def verify_basic_in_truncation(b: BasicIdeal) -> bool:
+    """Check with explicit matrix brackets that the support span is stable
+    under the Borel generators in the two-degree quotient."""
+    if b.n == 1:
+        return True
+    alg = _ideal_algebra(b.n)
+    return stable_under(support_span(b), borel_generators(alg))
+
+
+def span_is_stable(n: int, s_plus, s_minus, include_delta: bool = True) -> bool:
+    """Stability check for an arbitrary candidate span, without the closure
+    validation of :class:`BasicIdeal`; used for negative controls."""
+    alg = _ideal_algebra(n)
+    units = {(0, i, j + 1) for i, j in s_plus} | {(1, j + 1, i) for i, j in s_minus}
+    diag = {1: cartan_basis(n)} if include_delta else {}
+    return stable_under(Span(alg, frozenset(units), diag), borel_generators(alg))
+
+
+def is_quasi_abelian_bracket(b: BasicIdeal) -> bool:
+    """Quasi-abelian test by brute force in the quotient: every bracket of
+    two candidate basis elements must vanish there."""
+    if b.n == 1:
+        return True
+    span = support_span(b)
+    basis = span.basis_elements()
+    alg = span.algebra
+    for x in basis:
+        for y in basis:
+            if alg.bracket(x, y):
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _cached_basic(n: int) -> tuple[BasicIdeal, ...]:
+    return tuple(enumerate_basic(n))
+
+
+def basic_ideals(n: int) -> tuple[BasicIdeal, ...]:
+    """Cached deterministic enumeration, shared by the verification suites."""
+    return _cached_basic(n)
+
+
+def ideal_record(b: BasicIdeal) -> dict:
+    """JSON-ready record of one basic ideal and its invariants."""
+    pair = phi(b)
+    return {
+        "n": b.n,
+        "p": pair.p.word,
+        "q": pair.q.word,
+        "s_plus": [list(iv) for iv in sorted(b.s_plus)],
+        "s_minus": [list(iv) for iv in sorted(b.s_minus)],
+        "generators": generators_direct(b),
+        "quasi_abelian": is_quasi_abelian(b),
+        "nd_plus": nd_plus(b),
+        "qnd": qnd_direct(b),
+    }
