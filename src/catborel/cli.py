@@ -1,17 +1,16 @@
 """Command line surface.
 
 Every command is deterministic for fixed flags: enumerations are emitted
-in the library's fixed orders, JSON is dumped with sorted keys, and the
-worker count influences scheduling only, never output.  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 arithmetic overflow
-(reserved; the integer backend is arbitrary precision).
+in the library's fixed orders and JSON is dumped with sorted keys.  Exit
+codes: 0 success, 1 usage error, 2 verification failure, 3 arithmetic
+failure or breached internal invariant (arithmetic overflow cannot happen
+with Python integers, so in practice this code flags invariant breaches).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
@@ -38,6 +37,13 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _json_dump(obj) -> str:
@@ -89,7 +95,7 @@ def cmd_bn(args) -> int:
 
 
 def cmd_enumerate_basic(args) -> int:
-    records = [ideals.ideal_record(b) for b in ideals.enumerate_basic(args.n, args.threads)]
+    records = [ideals.ideal_record(b) for b in ideals.enumerate_basic(args.n)]
     if args.format == "json":
         _emit(_json_dump(records), args.out)
     else:
@@ -112,7 +118,7 @@ def cmd_quasi_abelian(args) -> int:
 
 
 def cmd_qnd_histogram(args) -> int:
-    hist = Counter(ideals.qnd_direct(b) for b in ideals.basic_ideals(args.n))
+    hist = Counter(ideals.qnd_from_plus_degree(b) for b in ideals.basic_ideals(args.n))
     pairs = sorted(hist.items())
     if args.format == "json":
         _emit(_json_dump({"n": args.n, "histogram": [{"qnd": k, "count": v} for k, v in pairs]}), args.out)
@@ -122,7 +128,7 @@ def cmd_qnd_histogram(args) -> int:
 
 
 def cmd_support_classes(args) -> int:
-    classes = supports.enumerate_classes(args.n, args.threads)
+    classes = supports.enumerate_classes(args.n)
     if args.format == "json":
         records = [supports.class_record(t, case, args.level) for t, case in classes]
         _emit(_json_dump(records), args.out)
@@ -134,7 +140,7 @@ def cmd_support_classes(args) -> int:
         )
         _emit("n,level,case,count\n" + body, args.out)
     elif args.format == "bfile":
-        values = [(n, len(supports.enumerate_classes(n, args.threads))) for n in range(1, args.n + 1)]
+        values = [(n, len(supports.enumerate_classes(n))) for n in range(1, args.n + 1)]
         _emit(_bfile(values), args.out)
     else:
         lines = [" ".join(t.words()) + f" case={case}" for t, case in classes]
@@ -191,7 +197,6 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="catborel", description=__doc__)
-    default_threads = int(os.environ.get("CATBOREL_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -199,7 +204,6 @@ def build_parser() -> _Parser:
         p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("table", "json", "csv", "bfile"), default="table")
         p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--threads", type=int, default=default_threads)
         return p
 
     p = add("catalan-matrix", cmd_catalan_matrix, help="print the n-th cell-count matrix")
@@ -211,14 +215,14 @@ def build_parser() -> _Parser:
     p.add_argument("--j", type=int, default=None)
 
     p = add("bn", cmd_bn, help="the basic-ideal counting sequence")
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--upto", type=positive_int, required=True)
     p.set_defaults(format="bfile")
 
     p = add("enumerate-basic", cmd_enumerate_basic, help="list all basic ideals with invariants")
     p.add_argument("--n", type=int, required=True)
 
     p = add("quasi-abelian", cmd_quasi_abelian, help="quasi-abelian ideal counts")
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--upto", type=positive_int, required=True)
     p.set_defaults(format="bfile")
 
     p = add("qnd-histogram", cmd_qnd_histogram, help="histogram of quasi-nilpotency degrees")
@@ -226,7 +230,7 @@ def build_parser() -> _Parser:
 
     p = add("support-classes", cmd_support_classes, help="level-normalized support classes")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=positive_int, default=1)
 
     p = add("split-search", cmd_split_search, help="search for forbidden highest-root splits")
     p.add_argument("--type", required=True, metavar="LABEL")
@@ -236,7 +240,7 @@ def build_parser() -> _Parser:
 
     p = add("verify", cmd_verify, help="run the self-verification suites")
     p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
-    p.add_argument("--max-n", type=int, default=6, dest="max_n")
+    p.add_argument("--max-n", type=positive_int, default=6, dest="max_n")
     p.add_argument("--include-e78", action="store_true", dest="include_e78")
 
     return parser
@@ -245,8 +249,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.fn(args)
     except (ValueError, KeyError) as exc:

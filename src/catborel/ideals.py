@@ -18,7 +18,9 @@ right endpoint shifted by one, and the path traces the staircase that
 separates present boxes from absent ones.  The pairs of paths that
 arise this way are exactly those passing the peak-threshold test of
 :func:`is_admissible`, and equivalently those with ``q`` above the
-``min_partner`` of ``p``.
+``min_partner`` of ``p``.  :class:`BasicIdeal` stores that Dyck pair and
+derives each interval set once per path: ``s_plus`` from ``p`` alone,
+``s_minus`` from ``q`` alone.
 
 On top of the encoding sit the counting formulas, the generator count,
 the quasi-abelian test, the quasi-nilpotency degree, and a matrix
@@ -86,33 +88,45 @@ def _difference_root(mu: Interval, alpha: Interval) -> Interval | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasicIdeal:
-    """Window support of a basic ideal, as the two interval sets."""
+    """A basic ideal, stored as its admissible Dyck pair (p, q)."""
 
-    n: int
-    s_plus: frozenset[Interval]
-    s_minus: frozenset[Interval]
+    p: DyckPath
+    q: DyckPath
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if not is_admissible(self.p, self.q):
+            raise ValueError(f"pair ({self.p}, {self.q}) is not admissible")
+
+    @classmethod
+    def from_intervals(cls, n: int, s_plus, s_minus) -> "BasicIdeal":
+        """The ideal with the given window support, after checking that the
+        interval sets are closed the way an ideal support must be."""
+        if n < 1:
             raise ValueError("n must be at least 1")
-        for iv in self.s_plus | self.s_minus:
-            _check_interval(self.n, iv)
-        for i, j in self.s_plus:
-            if i > 1 and (i - 1, j) not in self.s_plus:
-                raise ValueError(f"s_plus misses superinterval of {(i, j)}")
-            if j < self.n - 1 and (i, j + 1) not in self.s_plus:
-                raise ValueError(f"s_plus misses superinterval of {(i, j)}")
-        for i, j in self.s_minus:
-            if i < j and ((i + 1, j) not in self.s_minus or (i, j - 1) not in self.s_minus):
-                raise ValueError(f"s_minus misses subinterval of {(i, j)}")
+        s_plus, s_minus = set(s_plus), set(s_minus)
+        # the encoders check the range and the super/subinterval closures
+        p, q = plus_path(n, s_plus), minus_path(n, s_minus)
         # disjointness closure; the two extreme flanks suffice by subinterval closure
-        for i, j in self.s_plus:
-            if i > 1 and (1, i - 1) not in self.s_minus:
+        for i, j in s_plus:
+            if i > 1 and (1, i - 1) not in s_minus:
                 raise ValueError(f"support not upward closed: {(1, i - 1)} missing")
-            if j < self.n - 1 and (j + 1, self.n - 1) not in self.s_minus:
-                raise ValueError(f"support not upward closed: {(j + 1, self.n - 1)} missing")
+            if j < n - 1 and (j + 1, n - 1) not in s_minus:
+                raise ValueError(f"support not upward closed: {(j + 1, n - 1)} missing")
+        return cls(p, q)
+
+    @property
+    def n(self) -> int:
+        return self.p.semilength
+
+    @property
+    def s_plus(self) -> frozenset[Interval]:
+        return plus_intervals(self.p)
+
+    @property
+    def s_minus(self) -> frozenset[Interval]:
+        return minus_intervals(self.q)
 
     def window_support(self) -> frozenset[WindowRoot]:
         """The support inside the window, imaginary root included."""
@@ -203,12 +217,14 @@ def _rises_before_falls(p: DyckPath) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def plus_intervals(p: DyckPath) -> frozenset[Interval]:
     n = p.semilength
     depth = _rises_before_falls(p)
     return frozenset((i, j) for i in range(1, n) for j in range(depth[i - 1], n))
 
 
+@lru_cache(maxsize=None)
 def minus_intervals(q: DyckPath) -> frozenset[Interval]:
     n = q.semilength
     depth = _rises_before_falls(q)
@@ -218,13 +234,11 @@ def minus_intervals(q: DyckPath) -> frozenset[Interval]:
 
 
 def phi(b: BasicIdeal) -> DyckPair:
-    return DyckPair(plus_path(b.n, b.s_plus), minus_path(b.n, b.s_minus))
+    return DyckPair(b.p, b.q)
 
 
 def phi_inv(p: DyckPath, q: DyckPath) -> BasicIdeal:
-    if not is_admissible(p, q):
-        raise ValueError(f"pair ({p}, {q}) is not admissible")
-    return BasicIdeal(p.semilength, plus_intervals(p), minus_intervals(q))
+    return BasicIdeal(p, q)
 
 
 def is_admissible(p: DyckPath, q: DyckPath) -> bool:
@@ -280,7 +294,7 @@ def from_antichain(n: int, antichain) -> BasicIdeal:
             s_plus.add(iv)
         if any(_entry_leq(e, ("neg", iv)) for e in entries):
             s_minus.add(iv)
-    return BasicIdeal(n, frozenset(s_plus), frozenset(s_minus))
+    return BasicIdeal.from_intervals(n, s_plus, s_minus)
 
 
 def antichain_of(b: BasicIdeal) -> frozenset[WindowRoot]:
@@ -310,27 +324,27 @@ def principal(n: int, root: WindowRoot) -> BasicIdeal:
 # enumeration and counting
 
 
-def enumerate_basic(n: int, threads: int = 1) -> list[BasicIdeal]:
-    """All basic ideals, ordered by the word pair of their Dyck encoding."""
+@lru_cache(maxsize=None)
+def _partner_index(n: int) -> dict[tuple[int, int], tuple[DyckPath, ...]]:
+    """Per peak threshold (a, b), the paths whose first peak reaches a and
+    whose last peak reaches b, in word order."""
     paths = all_paths(n)
-
-    def ideals_for(p: DyckPath) -> list[BasicIdeal]:
-        return [
-            BasicIdeal(n, plus_intervals(p), minus_intervals(q))
-            for q in paths
-            if is_admissible(p, q)
-        ]
-
-    return [b for chunk in _map_ordered(ideals_for, paths, threads) for b in chunk]
+    peaks = [(q.first_peak, q.last_peak) for q in paths]
+    return {
+        (a, b): tuple(q for q, (c, d) in zip(paths, peaks) if c >= a and d >= b)
+        for a, b in {(n - d, n - c) for c, d in peaks}
+    }
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
+def _partners(p: DyckPath) -> tuple[DyckPath, ...]:
+    """Every q that makes (p, q) admissible, in word order."""
+    n = p.semilength
+    return _partner_index(n)[(n - p.last_peak, n - p.first_peak)]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+
+def enumerate_basic(n: int) -> list[BasicIdeal]:
+    """All basic ideals, ordered by the word pair of their Dyck encoding."""
+    return [BasicIdeal(p, q) for p in all_paths(n) for q in _partners(p)]
 
 
 def b_count_formula(n: int) -> int:
@@ -388,11 +402,10 @@ def generators_formula(b: BasicIdeal) -> int:
     """
     if not b.s_plus and not b.s_minus:
         return 1
-    pair = phi(b)
     n = b.n
-    a, bb = pair.p.first_peak, pair.p.last_peak
-    c, d = pair.q.first_peak, pair.q.last_peak
-    count = len(pair.p.valleys) + peaks_at_least(pair.q, 2)
+    a, bb = b.p.first_peak, b.p.last_peak
+    c, d = b.q.first_peak, b.q.last_peak
+    count = len(b.p.valleys) + peaks_at_least(b.q, 2)
     if d == n - a and n - a >= 2:
         count -= 1
     if c == n - bb and n - bb >= 2:
@@ -405,40 +418,37 @@ def generators_formula(b: BasicIdeal) -> int:
 
 
 def is_quasi_abelian(b: BasicIdeal) -> bool:
-    pair = phi(b)
-    return path_leq(min_partner(pair.p), pair.q) and path_leq(pair.q, pair.p)
+    return path_leq(min_partner(b.p), b.q) and path_leq(b.q, b.p)
 
 
 def quasi_abelian_count(n: int) -> int:
-    paths = all_paths(n)
     count = 0
-    for p in paths:
+    for p in all_paths(n):
         lo = min_partner(p)
-        for q in paths:
-            if is_admissible(p, q) and path_leq(lo, q) and path_leq(q, p):
-                count += 1
+        count += sum(1 for q in _partners(p) if path_leq(lo, q) and path_leq(q, p))
     return count
 
 
-def _plus_power_supports(b: BasicIdeal) -> list[frozenset[Interval]]:
-    """Supports of the lower central series of the degree-zero part, from
-    the first power down to the empty one."""
-    out = [frozenset(b.s_plus)]
+@lru_cache(maxsize=None)
+def _plus_power_supports(p: DyckPath) -> tuple[frozenset[Interval], ...]:
+    """Supports of the lower central series of the degree-zero part of the
+    ideals with plus path p, from the first power down to the empty one."""
+    s_plus = plus_intervals(p)
+    out = [s_plus]
     while out[-1]:
-        cur = out[-1]
         nxt = set()
-        for alpha in cur:
-            for beta in b.s_plus:
+        for alpha in out[-1]:
+            for beta in s_plus:
                 s = _sum_root(alpha, beta)
                 if s is not None:
                     nxt.add(s)
         out.append(frozenset(nxt))
-    return out
+    return tuple(out)
 
 
 def nd_plus(b: BasicIdeal) -> int:
     """Nilpotency degree of the degree-zero part at root level."""
-    return len(_plus_power_supports(b)) - 1
+    return len(_plus_power_supports(b.p)) - 1
 
 
 def qnd_direct(b: BasicIdeal) -> int:
@@ -504,7 +514,7 @@ def qnd_from_plus_degree(b: BasicIdeal) -> int:
     it is 1 when m = 0, and otherwise m unless some member of s_minus
     also lies in the support of the (m-1)-st power of the degree-zero
     part, in which case it is m + 1."""
-    powers = _plus_power_supports(b)
+    powers = _plus_power_supports(b.p)
     m = len(powers) - 1
     if m == 0:
         return 1
@@ -540,7 +550,7 @@ def normalize_support(n: int, shifted_roots) -> BasicIdeal:
             saw_delta = True
     if not saw_delta:
         raise ValueError("minimal layer of a shifted basic support must contain delta")
-    return BasicIdeal(n, frozenset(s_plus), frozenset(s_minus))
+    return BasicIdeal.from_intervals(n, s_plus, s_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -593,26 +603,21 @@ def is_quasi_abelian_bracket(b: BasicIdeal) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _cached_basic(n: int) -> tuple[BasicIdeal, ...]:
-    return tuple(enumerate_basic(n))
-
-
 def basic_ideals(n: int) -> tuple[BasicIdeal, ...]:
     """Cached deterministic enumeration, shared by the verification suites."""
-    return _cached_basic(n)
+    return tuple(enumerate_basic(n))
 
 
 def ideal_record(b: BasicIdeal) -> dict:
     """JSON-ready record of one basic ideal and its invariants."""
-    pair = phi(b)
     return {
         "n": b.n,
-        "p": pair.p.word,
-        "q": pair.q.word,
+        "p": b.p.word,
+        "q": b.q.word,
         "s_plus": [list(iv) for iv in sorted(b.s_plus)],
         "s_minus": [list(iv) for iv in sorted(b.s_minus)],
-        "generators": generators_direct(b),
+        "generators": generators_formula(b),
         "quasi_abelian": is_quasi_abelian(b),
         "nd_plus": nd_plus(b),
-        "qnd": qnd_direct(b),
+        "qnd": qnd_from_plus_degree(b),
     }

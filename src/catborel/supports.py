@@ -113,7 +113,7 @@ def classify(t: SupportQuadruple) -> str | None:
     return None
 
 
-def enumerate_classes(n: int, threads: int = 1) -> list[tuple[SupportQuadruple, str]]:
+def enumerate_classes(n: int) -> list[tuple[SupportQuadruple, str]]:
     """All accepted quadruples with their tags, ordered by word quadruple."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -164,14 +164,7 @@ def enumerate_classes(n: int, threads: int = 1) -> list[tuple[SupportQuadruple, 
                         out.append((SupportQuadruple(n, p, q, pp, top), "IV"))
         return out
 
-    if threads <= 1:
-        chunks = [classes_for(p) for p in paths]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(classes_for, paths))
-    return [item for chunk in chunks for item in chunk]
+    return [item for p in paths for item in classes_for(p)]
 
 
 def shift_level(ls: LevelledSupport, k: int) -> LevelledSupport:

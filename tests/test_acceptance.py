@@ -151,7 +151,7 @@ def test_criterion_09_generator_count_two_ways():
             for b in ideals.basic_ideals(n):
                 assert ideals.generators_direct(b) == ideals.generators_formula(b)
         # the unguarded expression undercounts on this ideal, exactly as documented
-        b = ideals.BasicIdeal(3, frozenset({(1, 2)}), frozenset())
+        b = ideals.BasicIdeal.from_intervals(3, {(1, 2)}, set())
         pair = ideals.phi(b)
         a, bb = pair.p.first_peak, pair.p.last_peak
         c, d = pair.q.first_peak, pair.q.last_peak
@@ -269,7 +269,7 @@ def test_criterion_13_truncation_oracle():
         )
 
 
-def _run_verify(threads):
+def _run_verify():
     proc = subprocess.run(
         [
             sys.executable,
@@ -280,8 +280,6 @@ def _run_verify(threads):
             "all",
             "--max-n",
             "6",
-            "--threads",
-            str(threads),
         ],
         capture_output=True,
         text=True,
@@ -292,9 +290,8 @@ def _run_verify(threads):
 
 def test_criterion_14_verify_reports_deterministic():
     with criterion(14, 240):
-        code1, out1 = _run_verify(1)
-        code2, out2 = _run_verify(1)
-        code4, out4 = _run_verify(4)
-        assert code1 == code2 == code4 == 0
-        assert out1 == out2 == out4
+        code1, out1 = _run_verify()
+        code2, out2 = _run_verify()
+        assert code1 == code2 == 0
+        assert out1 == out2
         assert b"FAIL" not in out1

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -150,8 +152,26 @@ def test_out_flag_writes_file(tmp_path):
 
 
 def test_threads_flag_does_not_change_output():
-    base = run_cli("enumerate-basic", "--n", "4", "--format", "json")
-    threaded = run_cli("enumerate-basic", "--n", "4", "--format", "json", "--threads", "4")
-    assert base == threaded
+    # --threads is gone: output is fixed by the other flags, the flag is refused
+    first = run_cli("enumerate-basic", "--n", "4", "--format", "json")
+    assert first == run_cli("enumerate-basic", "--n", "4", "--format", "json")
     code, _, _ = run_cli("bn", "--upto", "2", "--threads", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bn", "--upto", "-3"),
+        ("bn", "--upto", "0"),
+        ("quasi-abelian", "--upto", "0"),
+        ("verify", "--max-n", "0"),
+        ("verify", "--max-n", "-1"),
+        ("support-classes", "--n", "2", "--level", "0"),
+    ],
+)
+def test_out_of_range_integers_exit_one(args):
+    code, out, err = run_cli(*args)
+    assert code == 1
+    assert out == ""
+    assert "must be at least 1" in err

@@ -43,7 +43,7 @@ FIG_MINUS = {(1, 1), (3, 3), (4, 4), (4, 5), (5, 5)}
 
 
 def ideal(n, s_plus=(), s_minus=()):
-    return BasicIdeal(n, frozenset(s_plus), frozenset(s_minus))
+    return BasicIdeal.from_intervals(n, s_plus, s_minus)
 
 
 def full_ideal(n):
@@ -140,6 +140,13 @@ def test_count_bounded_by_square_of_catalan():
 
     for n in range(1, 11):
         assert b_count_formula(n) <= catalan_number(n) ** 2
+
+
+def test_partner_index_matches_brute_filter():
+    for n in range(1, 8):
+        paths = all_paths(n)
+        brute = [(p, q) for p in paths for q in paths if is_admissible(p, q)]
+        assert [(b.p, b.q) for b in enumerate_basic(n)] == brute
 
 
 def test_enumeration_order_is_by_word_pair():
@@ -363,6 +370,28 @@ def test_truncation_oracle_negative_controls():
     assert not span_is_stable(
         3, {(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, include_delta=False
     )
+
+
+def fresh_nd_plus(s_plus):
+    """Nilpotency degree of the degree-zero part, by bracketing interval
+    sets directly: (a, b) + (c, d) is a root exactly when the two abut."""
+    power, degree = set(s_plus), 0
+    while power:
+        power = {(a, d) for a, b in power for c, d in s_plus if b + 1 == c} | {
+            (c, b) for a, b in power for c, d in s_plus if d + 1 == a
+        }
+        degree += 1
+    return degree
+
+
+def test_record_fields_match_oracles_at_n7():
+    # production records use the path-statistic formulas; the pinned
+    # outputs go up to n = 7, past the n <= 6 reach of verify
+    for b in basic_ideals(7):
+        rec = ideal_record(b)
+        assert rec["generators"] == generators_direct(b)
+        assert rec["qnd"] == qnd_direct(b)
+        assert rec["nd_plus"] == fresh_nd_plus(b.s_plus)
 
 
 def test_ideal_record_shape():
