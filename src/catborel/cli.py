@@ -199,46 +199,67 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="catborel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, formats, **kwargs):
+        """A subcommand accepting only the formats it implements; the
+        first one is the default."""
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("table", "json", "csv", "bfile"), default="table")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", metavar="PATH", default=None)
         return p
 
-    p = add("catalan-matrix", cmd_catalan_matrix, help="print the n-th cell-count matrix")
+    p = add(
+        "catalan-matrix", cmd_catalan_matrix, ("table", "json", "csv"),
+        help="print the n-th cell-count matrix",
+    )
     p.add_argument("n", type=int)
 
-    p = add("cells", cmd_cells, help="cell counts, or the paths of one cell")
+    p = add(
+        "cells", cmd_cells, ("table", "json", "csv"),
+        help="cell counts, or the paths of one cell",
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
 
-    p = add("bn", cmd_bn, help="the basic-ideal counting sequence")
+    p = add("bn", cmd_bn, ("bfile", "json", "csv"), help="the basic-ideal counting sequence")
     p.add_argument("--upto", type=positive_int, required=True)
-    p.set_defaults(format="bfile")
 
-    p = add("enumerate-basic", cmd_enumerate_basic, help="list all basic ideals with invariants")
+    p = add(
+        "enumerate-basic", cmd_enumerate_basic, ("table", "json"),
+        help="list all basic ideals with invariants",
+    )
     p.add_argument("--n", type=int, required=True)
 
-    p = add("quasi-abelian", cmd_quasi_abelian, help="quasi-abelian ideal counts")
+    p = add("quasi-abelian", cmd_quasi_abelian, ("bfile", "json"), help="quasi-abelian ideal counts")
     p.add_argument("--upto", type=positive_int, required=True)
-    p.set_defaults(format="bfile")
 
-    p = add("qnd-histogram", cmd_qnd_histogram, help="histogram of quasi-nilpotency degrees")
+    p = add(
+        "qnd-histogram", cmd_qnd_histogram, ("bfile", "json"),
+        help="histogram of quasi-nilpotency degrees",
+    )
     p.add_argument("--n", type=int, required=True)
 
-    p = add("support-classes", cmd_support_classes, help="level-normalized support classes")
+    p = add(
+        "support-classes", cmd_support_classes, ("table", "json", "csv", "bfile"),
+        help="level-normalized support classes",
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=positive_int, default=1)
 
-    p = add("split-search", cmd_split_search, help="search for forbidden highest-root splits")
+    p = add(
+        "split-search", cmd_split_search, ("table", "json"),
+        help="search for forbidden highest-root splits",
+    )
     p.add_argument("--type", required=True, metavar="LABEL")
 
-    p = add("order-check", cmd_order_check, help="compare the two window orders")
+    p = add(
+        "order-check", cmd_order_check, ("table", "json"),
+        help="compare the two window orders",
+    )
     p.add_argument("--type", required=True, metavar="LABEL")
 
-    p = add("verify", cmd_verify, help="run the self-verification suites")
+    p = add("verify", cmd_verify, ("table",), help="run the self-verification suites")
     p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     p.add_argument("--max-n", type=positive_int, default=6, dest="max_n")
     p.add_argument("--include-e78", action="store_true", dest="include_e78")
@@ -251,10 +272,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"catborel: error: {exc}\n")
         return USAGE_EXIT
-    except (OverflowError, MemoryError, AssertionError, RuntimeError) as exc:
+    except (OverflowError, MemoryError, AssertionError, RuntimeError, KeyError) as exc:
         # arithmetic failure or a breached internal invariant
         sys.stderr.write(f"catborel: internal failure: {exc}\n")
         return OVERFLOW_EXIT

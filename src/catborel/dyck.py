@@ -9,13 +9,13 @@ a fall, a valley a point where a fall is followed by a rise; the height
 of either is its y-coordinate.
 
 Paths are grouped into cells by the pair (first peak height, last peak
-height).  The cells are enumerated here by brute force, counted by two
-closed formulas (a ballot-style triangle and a reflection-principle
-binomial difference), and every cell has a unique dominance-minimal
-member which is computed as the pointwise minimum over the cell.  The
-``min_partner`` of a path p is the minimal member of the reflected cell
-(n - last, n - first); it is the dominance threshold that a second path
-must clear to be compatible with p in the pairing used by
+height).  Each cell is generated directly from its fixed first and last
+peak, counted by two closed formulas (a ballot-style triangle and a
+reflection-principle binomial difference), and every cell has a unique
+dominance-minimal member which is computed as the pointwise minimum over
+the cell.  The ``min_partner`` of a path p is the minimal member of the
+reflected cell (n - last, n - first); it is the dominance threshold that
+a second path must clear to be compatible with p in the pairing used by
 :mod:`catborel.ideals`.
 
 Word order is always lexicographic with 'f' < 'r', which makes every
@@ -188,15 +188,37 @@ def all_paths(n: int) -> tuple[DyckPath, ...]:
 
 @lru_cache(maxsize=None)
 def cell_paths(n: int, i: int, j: int) -> tuple[DyckPath, ...]:
-    """Paths of semilength n with first peak height i and last peak height j.
+    """Paths of semilength n with first peak height i and last peak height j,
+    in word order.
 
-    Index 0 in either slot names an empty cell by convention.
+    Index 0 in either slot names an empty cell by convention.  Only the
+    pyramid has a peak of height n.  For 1 <= i, j <= n - 1 every member
+    is ``r^i f Y r f^j``, where the middle word Y of 2n - i - j - 2 steps
+    runs from height i - 1 to height j - 1 without dropping below 0; the
+    cell is generated by walking Y directly, falls before rises.
     """
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError(f"cell indices must lie in 0..{n}")
     if i == 0 or j == 0:
         return ()
-    return tuple(p for p in all_paths(n) if p.first_peak == i and p.last_peak == j)
+    if i == n or j == n:
+        return (pyramid(n),) if i == j else ()
+    head, tail = RISE * i + FALL, RISE + FALL * j
+    out: list[DyckPath] = []
+    word: list[str] = []
+
+    def go(height: int, left: int) -> None:
+        if left == 0:
+            out.append(DyckPath(head + "".join(word) + tail))
+            return
+        for step, nxt in ((FALL, height - 1), (RISE, height + 1)):
+            if nxt >= 0 and abs(nxt - (j - 1)) <= left - 1:
+                word.append(step)
+                go(nxt, left - 1)
+                word.pop()
+
+    go(i - 1, 2 * n - i - j - 2)
+    return tuple(out)
 
 
 def catalan_number(n: int) -> int:

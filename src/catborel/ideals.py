@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dyck import DyckPath, all_paths, min_partner, path_leq, peaks_at_least
+from .dyck import DyckPath, all_paths, cell_count_formula, path_leq, peaks_at_least
 from .loopalgebra import (
     Span,
     TruncatedLoopAlgebra,
@@ -43,7 +43,7 @@ from .loopalgebra import (
     coroot_vector,
     stable_under,
 )
-from .matrices import catalan_matrix, dot, omega
+from .matrices import catalan_matrix
 from .rootsys import WindowRoot
 
 Interval = tuple[int, int]
@@ -348,9 +348,30 @@ def enumerate_basic(n: int) -> list[BasicIdeal]:
 
 
 def b_count_formula(n: int) -> int:
-    """Dot product of the cell-count matrix with its block-sum image."""
-    c = catalan_matrix(n)
-    return dot(c, omega(c))
+    """Dot product of the cell-count matrix C(n) with its block-sum image
+    omega(C(n)), in O(n^2) integer operations.
+
+    The entries of C(n) are the reflection-principle cell counts, except
+    that row n and column n hold only the pyramid at (n, n).  Entry
+    (i, j) of omega(C) is the suffix sum S[max(1, n - j)][max(1, n - i)],
+    where S[k][m] sums C over rows k..n and columns m..n.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    c = [[0] * (n + 2) for _ in range(n + 2)]
+    for i in range(1, n):
+        for j in range(1, n):
+            c[i][j] = cell_count_formula(n, i, j)
+    c[n][n] = 1
+    s = [[0] * (n + 2) for _ in range(n + 2)]
+    for k in range(n, 0, -1):
+        for m in range(n, 0, -1):
+            s[k][m] = c[k][m] + s[k + 1][m] + s[k][m + 1] - s[k + 1][m + 1]
+    return sum(
+        c[i][j] * s[max(1, n - j)][max(1, n - i)]
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
 
 
 def b_count_cellsum(n: int) -> int:
@@ -418,15 +439,25 @@ def generators_formula(b: BasicIdeal) -> int:
 
 
 def is_quasi_abelian(b: BasicIdeal) -> bool:
-    return path_leq(min_partner(b.p), b.q) and path_leq(b.q, b.p)
+    """True when min_partner(p) <= q <= p in the dominance order.
+
+    Only ``q <= p`` needs testing, because admissibility already puts q
+    above min_partner(p).  With a = n - (last peak of p) and
+    b = n - (first peak of p), the first peak of q reaches a, so q lies on
+    or above the tent ``a - |x - a|``; its last peak reaches b, so q lies
+    on or above the tent ``b - |2n - b - x|``; and every path lies on or
+    above ``x mod 2``.  The pointwise maximum of these three bounds is a
+    path with first peak a and last peak b, so it is the minimum of the
+    cell (a, b), which is min_partner(p).  (For the pyramid, a = b = 0
+    and the bound is ``x mod 2``, the staircase.)
+    """
+    return path_leq(b.q, b.p)
 
 
 def quasi_abelian_count(n: int) -> int:
-    count = 0
-    for p in all_paths(n):
-        lo = min_partner(p)
-        count += sum(1 for q in _partners(p) if path_leq(lo, q) and path_leq(q, p))
-    return count
+    """Number of quasi-abelian basic ideals: admissible pairs with q <= p
+    (see :func:`is_quasi_abelian` for why that test suffices)."""
+    return sum(1 for p in all_paths(n) for q in _partners(p) if path_leq(q, p))
 
 
 @lru_cache(maxsize=None)

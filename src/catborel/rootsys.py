@@ -115,9 +115,6 @@ class FiniteRootSystem:
         r = self.rank
         return tuple(tuple(1 if k == i else 0 for k in range(r)) for i in range(r))
 
-    def is_positive_root(self, v: Vector) -> bool:
-        return v in self.root_set
-
 
 def _sort_key(v: Vector) -> tuple:
     return (sum(v), v)
@@ -224,9 +221,6 @@ class WindowPoset:
     @property
     def delta(self) -> WindowRoot:
         return WindowRoot(tuple(0 for _ in range(self.system.rank)), 1)
-
-    def natural_leq(self, a: WindowRoot, b: WindowRoot) -> bool:
-        return self.natural_table[self.index(a)][self.index(b)]
 
     def closure_leq(self, a: WindowRoot, b: WindowRoot) -> bool:
         return self.closure_table[self.index(a)][self.index(b)]

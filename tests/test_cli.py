@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from catborel import cli, ideals
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -175,3 +177,56 @@ def test_out_of_range_integers_exit_one(args):
     assert code == 1
     assert out == ""
     assert "must be at least 1" in err
+
+
+FORMATS = ("table", "json", "csv", "bfile")
+SUPPORTED = {
+    ("catalan-matrix", "3"): ("table", "json", "csv"),
+    ("cells", "--n", "3"): ("table", "json", "csv"),
+    ("bn", "--upto", "3"): ("bfile", "json", "csv"),
+    ("enumerate-basic", "--n", "2"): ("table", "json"),
+    ("quasi-abelian", "--upto", "3"): ("bfile", "json"),
+    ("qnd-histogram", "--n", "2"): ("bfile", "json"),
+    ("support-classes", "--n", "2"): FORMATS,
+    ("split-search", "--type", "A2"): ("table", "json"),
+    ("order-check", "--type", "A2"): ("table", "json"),
+    ("verify", "--max-n", "1"): ("table",),
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (*cmd, "--format", fmt)
+        for cmd, supported in SUPPORTED.items()
+        for fmt in FORMATS
+        if fmt not in supported
+    ],
+)
+def test_unsupported_format_exits_one(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(*cmd, "--format", fmt) for cmd, supported in SUPPORTED.items() for fmt in supported],
+)
+def test_supported_format_exits_zero(args, capsys):
+    assert cli.main(list(args)) == 0
+    assert capsys.readouterr().out
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(n):
+        raise KeyError("lost entry")
+
+    monkeypatch.setattr(ideals, "b_count_formula", broken)
+    assert cli.main(["bn", "--upto", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal failure" in captured.err

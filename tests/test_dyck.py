@@ -136,6 +136,21 @@ def test_cell_counts_match_matrix():
         assert seen == catalan_number(n)
 
 
+def _brute_cell(n, i, j):
+    return tuple(p for p in all_paths(n) if (p.first_peak, p.last_peak) == (i, j))
+
+
+def test_cell_paths_match_brute_filter():
+    for n in range(1, 10):
+        for i in range(n + 1):
+            for j in range(n + 1):
+                assert cell_paths(n, i, j) == _brute_cell(n, i, j), (n, i, j)
+    with pytest.raises(ValueError):
+        cell_paths(4, 5, 1)
+    with pytest.raises(ValueError):
+        cell_paths(4, 1, -1)
+
+
 def test_delete_and_insert_peak():
     assert delete_first_peak(parse("rrfrff")).word == "rrff"
     assert insert_peak_after_rises(parse("rrff"), 2).word == "rrfrff"

@@ -1,7 +1,7 @@
 import pytest
 
 from catborel import rootsys
-from catborel.dyck import all_paths, parse, path_leq, pyramid, staircase
+from catborel.dyck import all_paths, min_partner, parse, path_leq, pyramid, staircase
 from catborel.ideals import (
     BasicIdeal,
     DyckPair,
@@ -33,6 +33,7 @@ from catborel.ideals import (
     span_is_stable,
     verify_basic_in_truncation,
 )
+from catborel.matrices import catalan_matrix, dot, omega
 from catborel.rootsys import WindowRoot
 
 B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
@@ -133,6 +134,17 @@ def test_counts_three_ways():
         assert b_count_cellsum(n) == B_SEQUENCE[n - 1]
         assert len(basic_ideals(n)) == B_SEQUENCE[n - 1]
     assert b_count_formula(10) == 584248
+
+
+def test_b_count_formula_matches_matrix_product():
+    for n in range(1, 41):
+        c = catalan_matrix(n)
+        assert b_count_formula(n) == dot(c, omega(c)), n
+
+
+def test_b_count_formula_matches_cellsum():
+    for n in range(1, 21):
+        assert b_count_formula(n) == b_count_cellsum(n), n
 
 
 def test_count_bounded_by_square_of_catalan():
@@ -294,6 +306,14 @@ def test_quasi_abelian_band_walk_oracle():
     # the walk extends the sequence cheaply past the pair iteration
     assert _qa_count_band_walk(9) == 59711
     assert _qa_count_band_walk(10) == 253430
+
+
+def test_partners_dominate_min_partner():
+    """Admissibility alone puts q above min_partner(p), which is why the
+    quasi-abelian test only checks q <= p."""
+    for n in range(1, 10):
+        for b in enumerate_basic(n):
+            assert path_leq(min_partner(b.p), b.q), (b.p, b.q)
 
 
 def test_full_ideal_is_not_quasi_abelian():

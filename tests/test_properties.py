@@ -1,14 +1,16 @@
 """Property tests at semilengths 9..20, beyond exhaustive enumeration.
 
 Paths are drawn step by step, so no test here calls ``all_paths``.
+Where a test generates a whole cell, examples whose cell holds more than
+2000 paths are skipped, which keeps each example cheap.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from catborel.dyck import DyckPath, staircase
+from catborel.dyck import DyckPath, cell_count_formula, cell_paths, min_partner, path_leq, staircase
 from catborel.ideals import (
     BasicIdeal,
     is_admissible,
@@ -33,8 +35,19 @@ def dyck_words(draw, n):
 
 
 @st.composite
-def dyck_paths(draw):
-    return DyckPath(draw(dyck_words(draw(st.integers(9, 20)))))
+def dyck_paths(draw, lo=9, hi=20):
+    return DyckPath(draw(dyck_words(draw(st.integers(lo, hi)))))
+
+
+def cell_size(n, i, j):
+    """Reflection-principle size of the cell (i, j); the cells in row or
+    column n hold only the pyramid."""
+    if i == n or j == n:
+        return int(i == j)
+    return cell_count_formula(n, i, j)
+
+
+MAX_CELL = 2000
 
 
 def _pointwise_max(x: DyckPath, y: DyckPath) -> DyckPath:
@@ -43,10 +56,10 @@ def _pointwise_max(x: DyckPath, y: DyckPath) -> DyckPath:
 
 
 @st.composite
-def admissible_pairs(draw):
+def admissible_pairs(draw, lo=9, hi=20):
     """A random p, and a random q raised until its first peak reaches
     n - last peak of p and its last peak reaches n - first peak of p."""
-    p = draw(dyck_paths())
+    p = draw(dyck_paths(lo, hi))
     n = p.semilength
     q = DyckPath(draw(dyck_words(n)))
     a, b = n - p.last_peak, n - p.first_peak
@@ -84,3 +97,26 @@ def test_reflect_is_an_involution(p):
     r = p.reflect()
     assert r.reflect() == p
     assert (r.first_peak, r.last_peak) == (p.last_peak, p.first_peak)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(12, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(1, n))))
+def test_generated_cell_has_its_peaks_and_size(cell):
+    n, i, j = cell
+    size = cell_size(n, i, j)
+    assume(size <= MAX_CELL)
+    members = cell_paths.__wrapped__(n, i, j)  # uncached: examples do not pile up
+    assert len(members) == size
+    assert all((p.first_peak, p.last_peak) == (i, j) for p in members)
+    words = [p.word for p in members]
+    assert all(a < b for a, b in zip(words, words[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_pairs(10, 16))
+def test_admissible_partner_dominates_min_partner(pair):
+    p, q = pair
+    n = p.semilength
+    a, b = n - p.last_peak, n - p.first_peak
+    assume(cell_size(n, max(a, 1), max(b, 1)) <= MAX_CELL)
+    assert path_leq(min_partner(p), q)
