@@ -72,7 +72,7 @@ def cmd_cells(args) -> int:
         else:
             _emit("".join(w + "\n" for w in words), args.out)
         return 0
-    counts = [[len(dyck.cell_paths(n, i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    counts = [[dyck.cell_count(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     if args.format == "json":
         _emit(_json_dump({"n": n, "counts": counts}), args.out)
     elif args.format == "csv":

@@ -11,9 +11,9 @@ of either is its y-coordinate.
 Paths are grouped into cells by the pair (first peak height, last peak
 height).  Each cell is generated directly from its fixed first and last
 peak, counted by two closed formulas (a ballot-style triangle and a
-reflection-principle binomial difference), and every cell has a unique
-dominance-minimal member which is computed as the pointwise minimum over
-the cell.  The ``min_partner`` of a path p is the minimal member of the
+reflection-principle binomial difference), and every nonempty cell has
+a unique dominance-minimal member, the envelope of two tents and the
+staircase.  The ``min_partner`` of a path p is the minimal member of the
 reflected cell (n - last, n - first); it is the dominance threshold that
 a second path must clear to be compatible with p in the pairing used by
 :mod:`catborel.ideals`.
@@ -132,10 +132,12 @@ def peaks_at_least(p: DyckPath, height: int) -> int:
     return sum(1 for _, h in p.peaks if h >= height)
 
 
+@lru_cache(maxsize=None)
 def valley_xs_at_height(p: DyckPath, height: int) -> frozenset[int]:
     return frozenset(x for x, h in p.valleys if h == height)
 
 
+@lru_cache(maxsize=None)
 def pyramid(n: int) -> DyckPath:
     """The maximum path r^n f^n (single peak, no valleys)."""
     if n < 1:
@@ -143,6 +145,7 @@ def pyramid(n: int) -> DyckPath:
     return DyckPath(RISE * n + FALL * n)
 
 
+@lru_cache(maxsize=None)
 def staircase(n: int) -> DyckPath:
     """The minimum path (rf)^n (n peaks of height 1)."""
     if n < 1:
@@ -259,18 +262,21 @@ def _path_from_heights(heights: tuple[int, ...]) -> DyckPath:
 def cell_min(n: int, a: int, b: int) -> DyckPath:
     """The dominance-minimal member of the cell (a, b).
 
-    Computed as the pointwise minimum of the height profiles over the
-    cell; the cells are meet-closed, so the minimum is itself a member.
+    A first peak of height a keeps a member on or above the tent
+    a - |x - a|, a last peak of height b on or above b - |2n - b - x|,
+    and parity keeps it on or above x mod 2.  The maximum of the three
+    is a path with first peak a and last peak b whenever the cell is
+    nonempty, so it is the minimum, built in O(n).
     """
-    members = cell_paths(n, a, b)
-    if not members:
+    if not (0 <= a <= n and 0 <= b <= n):
+        raise ValueError(f"cell indices must lie in 0..{n}")
+    if a == 0 or b == 0 or (n in (a, b) and a != b):
         raise ValueError(f"cell ({a},{b}) of semilength {n} is empty")
-    profile = members[0].heights
-    for p in members[1:]:
-        profile = tuple(min(x, y) for x, y in zip(profile, p.heights))
-    low = _path_from_heights(profile)
+    low = _path_from_heights(
+        tuple(max(a - abs(x - a), b - abs(2 * n - b - x), x % 2) for x in range(2 * n + 1))
+    )
     if low.first_peak != a or low.last_peak != b:
-        raise RuntimeError(f"cell ({a},{b}) is not meet-closed at n={n}")
+        raise RuntimeError(f"tent envelope of cell ({a},{b}) at n={n} has the wrong peaks")
     return low
 
 
@@ -288,6 +294,7 @@ def min_partner(p: DyckPath) -> DyckPath:
     return cell_min(n, a, b)
 
 
+@lru_cache(maxsize=None)
 def floor_gap_points(p: DyckPath) -> frozenset[int]:
     """Even x-coordinates 2m, 0 < 2m < 2n, whose triple {2m-2, 2m, 2m+2}
     is not fully covered by height-0 valleys and the two endpoints."""
@@ -326,3 +333,11 @@ def cell_count_formula(n: int, i: int, j: int) -> int:
         raise ValueError("need 1 <= i, j <= n - 1")
     top = (n - 1 - i) + (n - 1 - j)
     return _binom(top, n - 1 - i) - _binom(top, n - i - j - 1)
+
+
+def cell_count(n: int, i: int, j: int) -> int:
+    """Size of cell (i, j) for 1 <= i, j <= n: the closed form, except
+    that row n and column n hold only the pyramid, at (n, n)."""
+    if n in (i, j):
+        return int(i == j)
+    return cell_count_formula(n, i, j)

@@ -34,13 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dyck import DyckPath, all_paths, cell_count_formula, path_leq, peaks_at_least
+from .dyck import DyckPath, all_paths, cell_count, path_leq, peaks_at_least
 from .loopalgebra import (
     Span,
     TruncatedLoopAlgebra,
     borel_generators,
     cartan_basis,
-    coroot_vector,
     stable_under,
 )
 from .matrices import catalan_matrix
@@ -359,10 +358,9 @@ def b_count_formula(n: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     c = [[0] * (n + 2) for _ in range(n + 2)]
-    for i in range(1, n):
-        for j in range(1, n):
-            c[i][j] = cell_count_formula(n, i, j)
-    c[n][n] = 1
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            c[i][j] = cell_count(n, i, j)
     s = [[0] * (n + 2) for _ in range(n + 2)]
     for k in range(n, 0, -1):
         for m in range(n, 0, -1):
@@ -487,9 +485,10 @@ def qnd_direct(b: BasicIdeal) -> int:
     degree-truncated quotient.
 
     Tracks the degree-zero support, the shifted-negative support, and the
-    imaginary-root component as a subspace of the Cartan spanned by the
+    imaginary-root component, the subspace of the Cartan spanned by the
     coroots of annihilating pairs; brackets with that central component
-    leave the window and are dropped.
+    leave the window and are dropped.  Coroots are nonzero, so the
+    component vanishes exactly when no annihilating pair is left.
     """
     n = b.n
     if n == 1:
@@ -498,9 +497,9 @@ def qnd_direct(b: BasicIdeal) -> int:
     minus0 = b.s_minus
     p_cur: frozenset[Interval] = frozenset(plus0)
     n_cur: frozenset[Interval] = frozenset(minus0)
-    h_dim = n - 1
+    cartan = True  # the full Cartan at the start
     m = 0
-    while p_cur or n_cur or h_dim:
+    while p_cur or n_cur or cartan:
         p_next = set()
         for alpha in p_cur:
             for beta in plus0:
@@ -514,30 +513,10 @@ def qnd_direct(b: BasicIdeal) -> int:
                     d = _difference_root(mu, alpha)
                     if d is not None:
                         n_next.add(d)
-        pairs = (p_cur & minus0) | (n_cur & plus0)
-        h_dim = _span_dimension(n, pairs)
+        cartan = bool(p_cur & minus0 or n_cur & plus0)
         p_cur, n_cur = frozenset(p_next), frozenset(n_next)
         m += 1
     return m
-
-
-def _span_dimension(n: int, ivs) -> int:
-    rows = [list(coroot_vector(n, iv)) for iv in sorted(ivs)]
-    dim = 0
-    col = 0
-    while rows and col < n:
-        piv = next((r for r in rows if r[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows = [
-            [a * piv[col] - b * r[col] for a, b in zip(r, piv)]
-            for r in rows
-            if r is not piv
-        ]
-        dim += 1
-        col += 1
-    return dim
 
 
 def qnd_from_plus_degree(b: BasicIdeal) -> int:
@@ -588,34 +567,26 @@ def normalize_support(n: int, shifted_roots) -> BasicIdeal:
 # matrix oracle
 
 
-def _ideal_algebra(n: int) -> TruncatedLoopAlgebra:
-    return TruncatedLoopAlgebra(n, ("upper", "lower_diag"))
-
-
-def support_span(b: BasicIdeal) -> Span:
-    """The candidate span of a basic datum in the two-degree quotient:
-    unit matrices for the real support and the full Cartan at degree one."""
-    alg = _ideal_algebra(b.n)
-    units = {(0, i, j + 1) for i, j in b.s_plus} | {(1, j + 1, i) for i, j in b.s_minus}
-    return Span(alg, frozenset(units), {1: cartan_basis(b.n)})
+def support_span(n: int, s_plus, s_minus, include_delta: bool = True) -> Span:
+    """The candidate span of two interval sets in the two-degree quotient:
+    unit matrices for the real roots, and the full Cartan at degree one
+    for delta."""
+    units = {(0, i, j + 1) for i, j in s_plus} | {(1, j + 1, i) for i, j in s_minus}
+    diag = {1: cartan_basis(n)} if include_delta else {}
+    return Span(TruncatedLoopAlgebra(n, ("upper", "lower_diag")), frozenset(units), diag)
 
 
 def verify_basic_in_truncation(b: BasicIdeal) -> bool:
     """Check with explicit matrix brackets that the support span is stable
     under the Borel generators in the two-degree quotient."""
-    if b.n == 1:
-        return True
-    alg = _ideal_algebra(b.n)
-    return stable_under(support_span(b), borel_generators(alg))
+    return b.n == 1 or span_is_stable(b.n, b.s_plus, b.s_minus)
 
 
 def span_is_stable(n: int, s_plus, s_minus, include_delta: bool = True) -> bool:
     """Stability check for an arbitrary candidate span, without the closure
     validation of :class:`BasicIdeal`; used for negative controls."""
-    alg = _ideal_algebra(n)
-    units = {(0, i, j + 1) for i, j in s_plus} | {(1, j + 1, i) for i, j in s_minus}
-    diag = {1: cartan_basis(n)} if include_delta else {}
-    return stable_under(Span(alg, frozenset(units), diag), borel_generators(alg))
+    span = support_span(n, s_plus, s_minus, include_delta)
+    return stable_under(span, borel_generators(span.algebra))
 
 
 def is_quasi_abelian_bracket(b: BasicIdeal) -> bool:
@@ -623,7 +594,7 @@ def is_quasi_abelian_bracket(b: BasicIdeal) -> bool:
     two candidate basis elements must vanish there."""
     if b.n == 1:
         return True
-    span = support_span(b)
+    span = support_span(b.n, b.s_plus, b.s_minus)
     basis = span.basis_elements()
     alg = span.algebra
     for x in basis:

@@ -15,6 +15,7 @@ and last peak height j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,16 @@ def add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def tau(a: ExactMatrix) -> ExactMatrix:
     """Column sums taken from one row above: result entry (i, j) is the sum
-    of column j of ``a`` over rows max(1, i-1) through n."""
-    n = a.n
-    rows = []
-    for i in range(1, n + 1):
-        lo = max(1, i - 1)
-        rows.append([sum(a.entry(s, j) for s in range(lo, n + 1)) for j in range(1, n + 1)])
-    return matrix(rows)
+    of column j of ``a`` over rows max(1, i-1) through n.
+
+    Built from the column suffix sums of ``a`` in O(n^2) additions: result
+    rows 1 and 2 are the suffix from row 1, and row i > 2 is the suffix
+    from row i - 1."""
+    suffix = [[0] * a.n]
+    for row in reversed(a.entries):
+        suffix.append([x + y for x, y in zip(row, suffix[-1])])
+    suffix.reverse()  # suffix[k] sums rows k+1..n; the trailing zero row is unused
+    return matrix([suffix[0]] + suffix[: a.n - 1])
 
 
 def omega(a: ExactMatrix) -> ExactMatrix:
@@ -114,8 +118,12 @@ def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return matrix(rows)
 
 
+@lru_cache(maxsize=None)
 def catalan_matrix(n: int) -> ExactMatrix:
-    """The n-th matrix of the recursion C(1) = [1], C(k+1) = tau(C(k)) (+) [1]."""
+    """The n-th matrix of the recursion C(1) = [1], C(k+1) = tau(C(k)) (+) [1].
+
+    Cached per n for the life of the process; the intermediate C(k) are
+    not kept."""
     if n < 1:
         raise ValueError("n must be at least 1")
     c = matrix([[1]])

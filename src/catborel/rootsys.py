@@ -20,14 +20,21 @@ for positive roots a.  Two partial orders are built on D:
   D.  Only xi of loop degree zero or one can keep the sum inside the
   window, so the step set is finite.
 
-Both orders are materialized as tables so that their coincidence is a
-checkable fact.  The poset also carries antichain enumeration and the
-coideal/minimal-element pair used for the ideal normal form.
+Both orders are built as bit rows (row i is an int whose bit j is set
+when element i <= element j): the natural order is the product order on
+the affine coordinates (level, finite + level * highest root), and the
+closure order is Warshall's closure of the step rows, a step being one
+subtraction of linear integer keys and one set lookup.  Each row set is
+checked to be a partial order and materialized as a table of bools, so
+that the coincidence of the two orders is a checkable fact.  The poset
+also carries antichain enumeration and the coideal/minimal-element pair
+used for the ideal normal form.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -275,20 +282,58 @@ class WindowPoset:
     def cover_relations(self, order: str = "closure") -> dict[str, list[str]]:
         """Adjacency lists of cover relations, keyed by element label."""
         table = self.closure_table if order == "closure" else self.natural_table
-        n = len(self.elements)
-        covers: dict[str, list[str]] = {w.label: [] for w in self.elements}
-        for i in range(n):
-            for j in range(n):
-                if i == j or not table[i][j]:
-                    continue
-                if any(
-                    table[i][k] and table[k][j] for k in range(n) if k not in (i, j)
-                ):
-                    continue
-                covers[self.elements[i].label].append(self.elements[j].label)
+        rows = _rows_of(table)
+        labels = [w.label for w in self.elements]
+        covers: dict[str, list[str]] = {label: [] for label in labels}
+        for i, row in enumerate(rows):
+            above = row & ~(1 << i)
+            reached = 0  # what lies strictly above some element strictly above i
+            for k in _bits(above):
+                reached |= rows[k] & ~(1 << k)
+            covers[labels[i]].extend(labels[j] for j in _bits(above & ~reached))
         for key in covers:
             covers[key].sort()
         return covers
+
+
+def _bits(row: int):
+    """Indices of the set bits of ``row``, in increasing order."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def _rows_of(table) -> list[int]:
+    return [int("".join(map("01".__getitem__, reversed(row))), 2) for row in table]
+
+
+def _table_of(rows: list[int], n: int) -> tuple[tuple[bool, ...], ...]:
+    return tuple(tuple(c == "1" for c in reversed(format(row, f"0{n}b"))) for row in rows)
+
+
+def _dominated(vectors, bounds) -> list[int]:
+    """Per bound w, the bitmask of the indices j with vectors[j] <= w in
+    every coordinate: per coordinate, a prefix mask over sorted values."""
+    masks = [(1 << len(vectors)) - 1] * len(bounds)
+    for c in range(len(vectors[0])):
+        by_value: dict[int, int] = {}
+        for j, v in enumerate(vectors):
+            by_value[v[c]] = by_value.get(v[c], 0) | 1 << j
+        values = sorted(by_value)
+        prefix = [0]
+        for value in values:
+            prefix.append(prefix[-1] | by_value[value])
+        for k, w in enumerate(bounds):
+            masks[k] &= prefix[bisect_right(values, w[c])]
+    return masks
+
+
+def _key(v: Vector, base: int) -> int:
+    """Linear integer key of a vector: key(y) - key(x) == key(y - x), and
+    two vectors whose coordinates differ by less than ``base`` have equal
+    keys only when they are equal."""
+    return sum(c * base**k for k, c in enumerate(v))
 
 
 def window(system: FiniteRootSystem) -> WindowPoset:
@@ -304,67 +349,56 @@ def window(system: FiniteRootSystem) -> WindowPoset:
     elements_t = tuple(elements)
     n = len(elements_t)
     highest = system.highest_root
-    pos_set = system.root_set
-    all_roots = pos_set | {tuple(-c for c in v) for v in pos_set}
 
-    natural = [[False] * n for _ in range(n)]
-    for i, x in enumerate(elements_t):
-        for j, y in enumerate(elements_t):
-            k = y.level - x.level
-            if k < 0:
-                continue
-            diff = tuple(b - a + k * h for a, b, h in zip(x.finite, y.finite, highest))
-            natural[i][j] = all(c >= 0 for c in diff)
+    # natural order: product order on (level, finite + level * highest)
+    neg_affine = [
+        (-w.level, *(-c - w.level * h for c, h in zip(w.finite, highest))) for w in elements_t
+    ]
+    natural = _dominated(neg_affine, neg_affine)
 
-    step = [[False] * n for _ in range(n)]
-    for i, x in enumerate(elements_t):
-        for j, y in enumerate(elements_t):
-            if i == j:
-                step[i][j] = True
-                continue
-            k = y.level - x.level
-            diff = tuple(b - a for a, b in zip(x.finite, y.finite))
-            if k == 0:
-                step[i][j] = diff in pos_set
-            elif k == 1:
-                step[i][j] = diff in all_roots or all(c == 0 for c in diff)
-
-    closure = [row[:] for row in step]
+    # one step x -> y when y - x is a positive root at level 0, or a root or
+    # zero at level 1.  Finite parts of two elements differ by at most
+    # 2 * max(highest) per coordinate, so a base above twice that keeps the
+    # keys of differences and of steps apart; the level is the top digit.
+    base = 4 * max(highest) + 1
+    lift = base**rank
+    roots = [_key(v, base) for v in system.positive_roots]
+    steps = {0, lift, *roots, *(lift + k for k in roots), *(lift - k for k in roots)}
+    keys = [w.level * lift + _key(w.finite, base) for w in elements_t]
+    closure = [
+        sum(1 << j for j, ky in enumerate(keys) if ky - kx in steps) for kx in keys
+    ]
     for m in range(n):
-        cm = closure[m]
+        bit, row_m = 1 << m, closure[m]
         for i in range(n):
-            if closure[i][m]:
-                ci = closure[i]
-                for j in range(n):
-                    if cm[j]:
-                        ci[j] = True
+            if closure[i] & bit:
+                closure[i] |= row_m
 
-    poset = WindowPoset(
+    _check_partial_order(natural, "natural")
+    _check_partial_order(closure, "closure")
+    return WindowPoset(
         system=system,
         elements=elements_t,
-        natural_table=tuple(tuple(row) for row in natural),
-        closure_table=tuple(tuple(row) for row in closure),
+        natural_table=_table_of(natural, n),
+        closure_table=_table_of(closure, n),
     )
-    _check_partial_order(poset.natural_table, "natural")
-    _check_partial_order(poset.closure_table, "closure")
-    return poset
 
 
-def _check_partial_order(table, name: str) -> None:
-    n = len(table)
-    for i in range(n):
-        if not table[i][i]:
+def _check_partial_order(rows: list[int], name: str) -> None:
+    """Reflexivity, antisymmetry and transitivity of a relation in bit rows."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
             raise AssertionError(f"{name} order is not reflexive")
-        for j in range(n):
-            if i != j and table[i][j] and table[j][i]:
-                raise AssertionError(f"{name} order is not antisymmetric")
-    for i in range(n):
-        for j in range(n):
-            if not table[i][j]:
-                continue
-            for k in range(n):
-                if table[j][k] and not table[i][k]:
-                    raise AssertionError(f"{name} order is not transitive")
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    for i, row in enumerate(rows):
+        if row & cols[i] != 1 << i:
+            raise AssertionError(f"{name} order is not antisymmetric")
+    for row in rows:
+        for j in _bits(row):
+            if rows[j] & ~row:
+                raise AssertionError(f"{name} order is not transitive")
 
 
 def orders_coincide(poset: WindowPoset) -> bool:
@@ -380,25 +414,25 @@ def highest_root_split_search(system: FiniteRootSystem) -> list[tuple[Vector, Ve
     zeta plus any simple root supporting eta is a positive root.  The
     expected result for every finite type is the empty list.
     """
-    pos = system.root_set
-    rank = system.rank
+    roots = system.positive_roots
     highest = system.highest_root
+    # sums of two roots and root + simple root have coordinates in 0..base-1
+    base = 2 * max(highest) + 1
+    keys = [_key(v, base) for v in roots]
+    pos = set(keys)
+    units = [base**i for i in range(system.rank)]
+    # bit i set when v + alpha_i is a positive root
+    raisable = [sum(1 << i for i, u in enumerate(units) if k + u in pos) for k in keys]
+    # zeta with xi + zeta <= highest, so that eta is non-negative
+    fits = _dominated(roots, [tuple(h - c for h, c in zip(highest, xi)) for xi in roots])
     hits: list[tuple[Vector, Vector, Vector]] = []
-    for xi in system.positive_roots:
-        for zeta in system.positive_roots:
+    for x, xi in enumerate(roots):
+        for z in _bits(fits[x]):
+            if keys[x] + keys[z] in pos:
+                continue
+            zeta = roots[z]
             eta = tuple(h - a - b for h, a, b in zip(highest, xi, zeta))
-            if any(c < 0 for c in eta) or all(c == 0 for c in eta):
-                continue
-            if tuple(a + b for a, b in zip(xi, zeta)) in pos:
-                continue
-            support = [i for i in range(rank) if eta[i] > 0]
-            ok = True
-            for i in support:
-                xi_up = tuple(c + (1 if k == i else 0) for k, c in enumerate(xi))
-                zeta_up = tuple(c + (1 if k == i else 0) for k, c in enumerate(zeta))
-                if xi_up in pos or zeta_up in pos:
-                    ok = False
-                    break
-            if ok:
+            support = sum(1 << i for i, c in enumerate(eta) if c > 0)
+            if support and not support & (raisable[x] | raisable[z]):
                 hits.append((xi, zeta, eta))
     return hits

@@ -55,23 +55,26 @@ def _entry_or_zero(c, n: int, i: int, j: int) -> int:
     return c.entry(i, j) if 1 <= i <= n and 1 <= j <= n else 0
 
 
+def _catalan_matrices(bound: int) -> dict[int, matrices.ExactMatrix]:
+    """C(1)..C(bound), each built once by the tau recursion."""
+    return {n: matrices.catalan_matrix(n) for n in range(1, bound + 1)}
+
+
 def suite_matrices(max_n: int) -> list[Check]:
     out = []
-    ok = all(
-        matrices.catalan_matrix(n).rows() == PRINTED_MATRICES[n] for n in range(1, 6)
-    )
-    out.append(Check("matrices", "small_matrices_pinned", ok, "n=1..5 fixed tables"))
     bound = 12
-    sym = all(matrices.is_symmetric(matrices.catalan_matrix(n)) for n in range(1, bound + 1))
+    cm = _catalan_matrices(bound)
+    ok = all(cm[n].rows() == PRINTED_MATRICES[n] for n in range(1, 6))
+    out.append(Check("matrices", "small_matrices_pinned", ok, "n=1..5 fixed tables"))
+    sym = all(matrices.is_symmetric(cm[n]) for n in range(1, bound + 1))
     out.append(Check("matrices", "symmetry", sym, f"n<={bound}"))
     sums = all(
-        matrices.entry_sum(matrices.catalan_matrix(n)) == dyck.catalan_number(n)
-        for n in range(1, bound + 1)
+        matrices.entry_sum(cm[n]) == dyck.catalan_number(n) for n in range(1, bound + 1)
     )
     out.append(Check("matrices", "entry_sum_catalan", sums, f"n<={bound}"))
     b_ok = True
     for n in range(1, 11):
-        c = matrices.catalan_matrix(n)
+        c = cm[n]
         values = (
             ideals.b_count_formula(n),
             matrices.dot(c, matrices.omega(c)),
@@ -87,9 +90,11 @@ def suite_matrices(max_n: int) -> list[Check]:
 def suite_dyck(max_n: int) -> list[Check]:
     out = []
     bound = min(max_n, 10)
+    bound12 = 12
+    cm = _catalan_matrices(bound12)
     cells_ok = True
     for n in range(1, bound + 1):
-        c = matrices.catalan_matrix(n)
+        c = cm[n]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if len(dyck.cell_paths(n, i, j)) != c.entry(i, j):
@@ -98,16 +103,15 @@ def suite_dyck(max_n: int) -> list[Check]:
         Check("dyck", "cell_counts_vs_matrix", cells_ok, f"generated cells vs tau matrix n<={bound}")
     )
 
-    bound12 = 12
     tri_ok = all(
-        matrices.catalan_matrix(n).entry(1, j) == dyck.catalan_triangle(n - 2, n - 1 - j)
+        cm[n].entry(1, j) == dyck.catalan_triangle(n - 2, n - 1 - j)
         for n in range(2, bound12 + 1)
         for j in range(1, n)
     )
     out.append(Check("dyck", "first_row_is_triangle", tri_ok, f"n<={bound12}"))
 
     closed_ok = all(
-        matrices.catalan_matrix(n).entry(i, j) == dyck.cell_count_formula(n, i, j)
+        cm[n].entry(i, j) == dyck.cell_count_formula(n, i, j)
         for n in range(2, bound12 + 1)
         for i in range(1, n)
         for j in range(1, n)
@@ -116,7 +120,7 @@ def suite_dyck(max_n: int) -> list[Check]:
 
     pascal_ok = True
     for n in range(1, bound12 + 1):
-        c = matrices.catalan_matrix(n)
+        c = cm[n]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 lhs = _entry_or_zero(c, n, i, j) + sum(

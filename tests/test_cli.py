@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from catborel import cli, ideals
+from catborel import cli, dyck, ideals
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -47,6 +47,19 @@ def test_cells_listing_and_counts():
     code, out, _ = run_cli("cells", "--n", "3", "--format", "csv")
     assert code == 0
     assert out == "1,1,0\n1,1,0\n0,0,1\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_cells_table_matches_generated_cells(fmt):
+    n = 8
+    counts = [[len(dyck.cell_paths(n, i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    code, out, _ = run_cli("cells", "--n", str(n), "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out) == {"n": n, "counts": counts}
+    else:
+        sep = "," if fmt == "csv" else None
+        assert [[int(v) for v in line.split(sep)] for line in out.splitlines()] == counts
 
 
 def test_enumerate_basic_json_round_trip():

@@ -7,6 +7,7 @@ from catborel.dyck import (
     all_paths,
     catalan_number,
     catalan_triangle,
+    cell_count,
     cell_count_formula,
     cell_min,
     cell_paths,
@@ -195,6 +196,34 @@ def test_cell_min_is_least_member():
                 low = cell_min(n, i, j)
                 assert low in members
                 assert all(path_leq(low, p) for p in members)
+
+
+def test_cell_min_is_the_brute_pointwise_minimum():
+    # every nonempty cell with n <= 11, generated without the cache
+    nonempty = 0
+    for n in range(1, 12):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                members = cell_paths.__wrapped__(n, i, j)
+                if not members:
+                    continue
+                nonempty += 1
+                profile = tuple(min(col) for col in zip(*(p.heights for p in members)))
+                assert cell_min(n, i, j).heights == profile, (n, i, j)
+    assert nonempty == 396
+
+
+@pytest.mark.parametrize("cell", [(3, 0, 1), (3, 1, 0), (3, 3, 1), (3, 1, 3), (3, 4, 4), (3, -1, 2), (0, 0, 0)])
+def test_cell_min_refuses_empty_cells(cell):
+    with pytest.raises(ValueError):
+        cell_min(*cell)
+
+
+def test_cell_count_matches_generated_cells():
+    for n in range(1, 10):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert cell_count(n, i, j) == len(cell_paths(n, i, j)), (n, i, j)
 
 
 def test_cells_are_meet_closed():

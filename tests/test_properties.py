@@ -2,7 +2,8 @@
 
 Paths are drawn step by step, so no test here calls ``all_paths``.
 Where a test generates a whole cell, examples whose cell holds more than
-2000 paths are skipped, which keeps each example cheap.
+2000 paths are skipped, which keeps each example cheap.  ``min_partner``
+builds no cell, so its test takes every example.
 """
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from catborel.dyck import DyckPath, cell_count_formula, cell_paths, min_partner, path_leq, staircase
+from catborel.dyck import DyckPath, cell_count, cell_paths, min_partner, path_leq, staircase
+from catborel.matrices import matrix, tau
 from catborel.ideals import (
     BasicIdeal,
     is_admissible,
@@ -37,14 +39,6 @@ def dyck_words(draw, n):
 @st.composite
 def dyck_paths(draw, lo=9, hi=20):
     return DyckPath(draw(dyck_words(draw(st.integers(lo, hi)))))
-
-
-def cell_size(n, i, j):
-    """Reflection-principle size of the cell (i, j); the cells in row or
-    column n hold only the pyramid."""
-    if i == n or j == n:
-        return int(i == j)
-    return cell_count_formula(n, i, j)
 
 
 MAX_CELL = 2000
@@ -103,7 +97,7 @@ def test_reflect_is_an_involution(p):
 @given(st.integers(12, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(1, n))))
 def test_generated_cell_has_its_peaks_and_size(cell):
     n, i, j = cell
-    size = cell_size(n, i, j)
+    size = cell_count(n, i, j)
     assume(size <= MAX_CELL)
     members = cell_paths.__wrapped__(n, i, j)  # uncached: examples do not pile up
     assert len(members) == size
@@ -116,7 +110,21 @@ def test_generated_cell_has_its_peaks_and_size(cell):
 @given(admissible_pairs(10, 16))
 def test_admissible_partner_dominates_min_partner(pair):
     p, q = pair
-    n = p.semilength
-    a, b = n - p.last_peak, n - p.first_peak
-    assume(cell_size(n, max(a, 1), max(b, 1)) <= MAX_CELL)
     assert path_leq(min_partner(p), q)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 8))
+    cells = st.integers(0, 10**6)
+    return [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_tau_matches_its_entrywise_definition(rows):
+    n = len(rows)
+    expect = [
+        [sum(rows[s][j] for s in range(max(0, i - 1), n)) for j in range(n)] for i in range(n)
+    ]
+    assert tau(matrix(rows)).rows() == expect

@@ -2,8 +2,10 @@ import pytest
 
 from catborel.ideals import b_count_formula
 from catborel.rootsys import (
+    FiniteRootSystem,
     WindowPoset,
     WindowRoot,
+    _check_partial_order,
     build_root_system,
     cartan_matrix,
     highest_root_split_search,
@@ -179,3 +181,170 @@ def test_split_search_reports_violations_when_conditions_relaxed():
                 continue
             found.append((xi, zeta, eta))
     assert found, "relaxed scan should produce candidate triples"
+
+
+
+# ---------------------------------------------------------------------------
+# brute references: pairwise tuple tables, Warshall on bools, O(n^3) checks
+
+
+def brute_tables(poset):
+    """Natural and closure tables of the window, one pair at a time."""
+    system = poset.system
+    highest = system.highest_root
+    pos_set = system.root_set
+    all_roots = pos_set | {tuple(-c for c in v) for v in pos_set}
+    elements = poset.elements
+    n = len(elements)
+    natural = [[False] * n for _ in range(n)]
+    step = [[False] * n for _ in range(n)]
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            k = y.level - x.level
+            if k >= 0:
+                diff = tuple(b - a + k * h for a, b, h in zip(x.finite, y.finite, highest))
+                natural[i][j] = all(c >= 0 for c in diff)
+            diff = tuple(b - a for a, b in zip(x.finite, y.finite))
+            if i == j:
+                step[i][j] = True
+            elif k == 0:
+                step[i][j] = diff in pos_set
+            elif k == 1:
+                step[i][j] = diff in all_roots or all(c == 0 for c in diff)
+    closure = [row[:] for row in step]
+    for m in range(n):
+        for i in range(n):
+            if closure[i][m]:
+                for j in range(n):
+                    if closure[m][j]:
+                        closure[i][j] = True
+    return natural, closure
+
+
+def brute_is_partial_order(table):
+    n = len(table)
+    return (
+        all(table[i][i] for i in range(n))
+        and not any(table[i][j] and table[j][i] for i in range(n) for j in range(n) if i != j)
+        and all(
+            table[i][k]
+            for i in range(n)
+            for j in range(n)
+            if table[i][j]
+            for k in range(n)
+            if table[j][k]
+        )
+    )
+
+
+def brute_covers(elements, table):
+    n = len(table)
+    covers = {w.label: [] for w in elements}
+    for i in range(n):
+        for j in range(n):
+            if i != j and table[i][j] and not any(
+                table[i][k] and table[k][j] for k in range(n) if k not in (i, j)
+            ):
+                covers[elements[i].label].append(elements[j].label)
+    return {key: sorted(v) for key, v in covers.items()}
+
+
+WINDOW_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B3", "B4", "C3", "C4",
+    "D4", "D5", "G2", "F4", "E6", "E7",
+]
+
+
+@pytest.mark.parametrize("label", WINDOW_TYPES)
+def test_window_matches_brute_reference(label):
+    poset = window(build_root_system(label))
+    natural, closure = brute_tables(poset)
+    assert poset.natural_table == tuple(tuple(r) for r in natural)
+    assert poset.closure_table == tuple(tuple(r) for r in closure)
+    assert brute_is_partial_order(closure)
+    for order, table in (("closure", closure), ("natural", natural)):
+        assert poset.cover_relations(order) == brute_covers(poset.elements, table)
+
+
+def test_cover_relations_of_a_relation_that_is_not_an_order():
+    # the rows and the brute loop read the same definition on any table
+    poset = window(build_root_system("A2"))
+    rows = [list(r) for r in poset.closure_table]
+    rows[0][1] = not rows[0][1]
+    rows[3][3] = False
+    rows[5][2] = True
+    table = tuple(tuple(r) for r in rows)
+    corrupted = WindowPoset(poset.system, poset.elements, poset.natural_table, table)
+    assert corrupted.cover_relations() == brute_covers(poset.elements, table)
+
+
+def _chain_rows():
+    # 0 <= 1 <= 2
+    return [0b111, 0b110, 0b100]
+
+
+def test_check_partial_order_accepts_a_chain():
+    _check_partial_order(_chain_rows(), "chain")
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda rows: rows.__setitem__(1, 0b100), "reflexive"),  # diagonal bit of 1 missing
+        (lambda rows: rows.__setitem__(1, 0b111), "antisymmetric"),  # 0 <= 1 <= 0
+        (lambda rows: rows.__setitem__(0, 0b011), "transitive"),  # 0 <= 1 <= 2, not 0 <= 2
+    ],
+)
+def test_check_partial_order_negative_controls(edit, problem):
+    rows = _chain_rows()
+    edit(rows)
+    with pytest.raises(AssertionError, match=f"not {problem}"):
+        _check_partial_order(rows, "chain")
+
+
+def brute_split_search(system):
+    """The split search on tuples, one root and one simple root at a time."""
+    pos = system.root_set
+    rank = system.rank
+    highest = system.highest_root
+    hits = []
+    for xi in system.positive_roots:
+        for zeta in system.positive_roots:
+            eta = tuple(h - a - b for h, a, b in zip(highest, xi, zeta))
+            if any(c < 0 for c in eta) or all(c == 0 for c in eta):
+                continue
+            if tuple(a + b for a, b in zip(xi, zeta)) in pos:
+                continue
+            if any(
+                tuple(c + (k == i) for k, c in enumerate(v)) in pos
+                for i in range(rank)
+                if eta[i] > 0
+                for v in (xi, zeta)
+            ):
+                continue
+            hits.append((xi, zeta, eta))
+    return hits
+
+
+SPLIT_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("label", SPLIT_TYPES)
+def test_split_search_matches_brute_reference(label):
+    system = build_root_system(label)
+    assert highest_root_split_search(system) == brute_split_search(system)
+    # with roots removed (simple and highest roots kept) splits do exist,
+    # so the two searches are also compared on nonempty results
+    roots = system.positive_roots
+    keep = set(system.simple_roots()) | {system.highest_root}
+    found = []
+    for kept in (
+        [v for v in roots if v in keep],
+        [v for k, v in enumerate(roots) if v in keep or k % 3],
+    ):
+        thinned = FiniteRootSystem(system.label, system.cartan, tuple(kept), system.highest_root)
+        hits = highest_root_split_search(thinned)
+        assert hits == brute_split_search(thinned)
+        found.append(len(hits))
+    if system.rank >= 3:
+        assert found[0] > 0
