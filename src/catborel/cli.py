@@ -50,14 +50,28 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_catalan_matrix(args) -> int:
-    c = matrices.catalan_matrix(args.n)
+def _emit_sequence(values, args) -> None:
+    """(n, value) pairs as a b-file, a JSON sequence or a CSV table."""
     if args.format == "json":
-        _emit(_json_dump({"n": args.n, "entries": c.rows()}), args.out)
+        _emit(_json_dump({"sequence": [{"n": n, "value": v} for n, v in values]}), args.out)
     elif args.format == "csv":
-        _emit("".join(",".join(str(v) for v in row) + "\n" for row in c.rows()), args.out)
+        _emit("n,value\n" + "".join(f"{n},{v}\n" for n, v in values), args.out)
     else:
-        _emit(matrices.format_table(c) + "\n", args.out)
+        _emit(_bfile(values), args.out)
+
+
+def _emit_matrix(key: str, m: matrices.ExactMatrix, args) -> None:
+    """A square matrix as an aligned table, CSV rows, or JSON under ``key``."""
+    if args.format == "json":
+        _emit(_json_dump({"n": args.n, key: m.rows()}), args.out)
+    elif args.format == "csv":
+        _emit("".join(",".join(str(v) for v in row) + "\n" for row in m.rows()), args.out)
+    else:
+        _emit(matrices.format_table(m) + "\n", args.out)
+
+
+def cmd_catalan_matrix(args) -> int:
+    _emit_matrix("entries", matrices.catalan_matrix(args.n), args)
     return 0
 
 
@@ -73,24 +87,12 @@ def cmd_cells(args) -> int:
             _emit("".join(w + "\n" for w in words), args.out)
         return 0
     counts = [[dyck.cell_count(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    if args.format == "json":
-        _emit(_json_dump({"n": n, "counts": counts}), args.out)
-    elif args.format == "csv":
-        _emit("".join(",".join(str(v) for v in row) + "\n" for row in counts), args.out)
-    else:
-        _emit(matrices.format_table(matrices.matrix(counts)) + "\n", args.out)
+    _emit_matrix("counts", matrices.matrix(counts), args)
     return 0
 
 
 def cmd_bn(args) -> int:
-    upto = args.upto
-    values = [(n, ideals.b_count_formula(n)) for n in range(1, upto + 1)]
-    if args.format == "json":
-        _emit(_json_dump({"sequence": [{"n": n, "value": v} for n, v in values]}), args.out)
-    elif args.format == "csv":
-        _emit("n,value\n" + "".join(f"{n},{v}\n" for n, v in values), args.out)
-    else:
-        _emit(_bfile(values), args.out)
+    _emit_sequence([(n, ideals.b_count_formula(n)) for n in range(1, args.upto + 1)], args)
     return 0
 
 
@@ -109,11 +111,7 @@ def cmd_enumerate_basic(args) -> int:
 
 
 def cmd_quasi_abelian(args) -> int:
-    values = [(n, ideals.quasi_abelian_count(n)) for n in range(1, args.upto + 1)]
-    if args.format == "json":
-        _emit(_json_dump({"sequence": [{"n": n, "value": v} for n, v in values]}), args.out)
-    else:
-        _emit(_bfile(values), args.out)
+    _emit_sequence([(n, ideals.quasi_abelian_count(n)) for n in range(1, args.upto + 1)], args)
     return 0
 
 
@@ -140,8 +138,8 @@ def cmd_support_classes(args) -> int:
         )
         _emit("n,level,case,count\n" + body, args.out)
     elif args.format == "bfile":
-        values = [(n, len(supports.enumerate_classes(n))) for n in range(1, args.n + 1)]
-        _emit(_bfile(values), args.out)
+        values = [(n, len(supports.enumerate_classes(n))) for n in range(1, args.n)]
+        _emit_sequence(values + [(args.n, len(classes))], args)
     else:
         lines = [" ".join(t.words()) + f" case={case}" for t, case in classes]
         _emit("".join(line + "\n" for line in lines), args.out)
@@ -212,13 +210,13 @@ def build_parser() -> _Parser:
         "catalan-matrix", cmd_catalan_matrix, ("table", "json", "csv"),
         help="print the n-th cell-count matrix",
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=positive_int)
 
     p = add(
         "cells", cmd_cells, ("table", "json", "csv"),
         help="cell counts, or the paths of one cell",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
 
@@ -229,7 +227,7 @@ def build_parser() -> _Parser:
         "enumerate-basic", cmd_enumerate_basic, ("table", "json"),
         help="list all basic ideals with invariants",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
 
     p = add("quasi-abelian", cmd_quasi_abelian, ("bfile", "json"), help="quasi-abelian ideal counts")
     p.add_argument("--upto", type=positive_int, required=True)
@@ -238,13 +236,13 @@ def build_parser() -> _Parser:
         "qnd-histogram", cmd_qnd_histogram, ("bfile", "json"),
         help="histogram of quasi-nilpotency degrees",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
 
     p = add(
         "support-classes", cmd_support_classes, ("table", "json", "csv", "bfile"),
         help="level-normalized support classes",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--level", type=positive_int, default=1)
 
     p = add(

@@ -95,39 +95,6 @@ class DyckPath:
         return DyckPath("".join(swapped[s] for s in reversed(self.word)))
 
 
-@dataclass(frozen=True)
-class PathStats:
-    first_peak: int
-    last_peak: int
-    peak_xs: tuple[tuple[int, int], ...]
-    valley_xs: tuple[tuple[int, int], ...]
-    v_count_by_height: dict[int, int]
-    p_at_least: dict[int, int]
-
-
-def parse(word: str) -> DyckPath:
-    return DyckPath(word)
-
-
-def stats(p: DyckPath) -> PathStats:
-    n = p.semilength
-    v_count = {h: 0 for h in range(n)}
-    for _, h in p.valleys:
-        v_count[h] += 1
-    # p_at_least[i] counts peaks of height at least i + 1
-    p_at_least = {
-        i: sum(1 for _, h in p.peaks if h >= i + 1) for i in range(1, n + 1)
-    }
-    return PathStats(
-        first_peak=p.first_peak,
-        last_peak=p.last_peak,
-        peak_xs=p.peaks,
-        valley_xs=p.valleys,
-        v_count_by_height=v_count,
-        p_at_least=p_at_least,
-    )
-
-
 def peaks_at_least(p: DyckPath, height: int) -> int:
     return sum(1 for _, h in p.peaks if h >= height)
 
@@ -153,10 +120,6 @@ def staircase(n: int) -> DyckPath:
     return DyckPath((RISE + FALL) * n)
 
 
-def star(p: DyckPath) -> DyckPath:
-    return p.reflect()
-
-
 def path_leq(p: DyckPath, q: DyckPath) -> bool:
     """True when q never goes below p (pointwise height comparison)."""
     if p.semilength != q.semilength:
@@ -164,29 +127,37 @@ def path_leq(p: DyckPath, q: DyckPath) -> bool:
     return all(hp <= hq for hp, hq in zip(p.heights, q.heights))
 
 
+def _walk(head: str, height: int, steps: int, target: int, tail: str) -> tuple[DyckPath, ...]:
+    """Every path ``head + Y + tail``, Y running over the words of
+    ``steps`` steps from ``height`` to ``target`` that never drop below 0,
+    in word order (falls before rises)."""
+    out: list[DyckPath] = []
+    word: list[str] = []
+
+    # the distance to target stays within the steps left and of their parity
+    def go(h: int, left: int) -> None:
+        if left == 0:
+            out.append(DyckPath(head + "".join(word) + tail))
+            return
+        if h > 0 and target - h < left:
+            word.append(FALL)
+            go(h - 1, left - 1)
+            word.pop()
+        if h - target < left:
+            word.append(RISE)
+            go(h + 1, left - 1)
+            word.pop()
+
+    go(height, steps)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def all_paths(n: int) -> tuple[DyckPath, ...]:
     """Every Dyck path of semilength n, in word order with 'f' < 'r'."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    out: list[DyckPath] = []
-    word: list[str] = []
-
-    def go(height: int, rises_left: int) -> None:
-        if rises_left == 0 and height == 0:
-            out.append(DyckPath("".join(word)))
-            return
-        if height > 0:
-            word.append(FALL)
-            go(height - 1, rises_left)
-            word.pop()
-        if rises_left > 0:
-            word.append(RISE)
-            go(height + 1, rises_left - 1)
-            word.pop()
-
-    go(0, n)
-    return tuple(out)
+    return _walk("", 0, 2 * n, 0, "")
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +168,7 @@ def cell_paths(n: int, i: int, j: int) -> tuple[DyckPath, ...]:
     Index 0 in either slot names an empty cell by convention.  Only the
     pyramid has a peak of height n.  For 1 <= i, j <= n - 1 every member
     is ``r^i f Y r f^j``, where the middle word Y of 2n - i - j - 2 steps
-    runs from height i - 1 to height j - 1 without dropping below 0; the
-    cell is generated by walking Y directly, falls before rises.
+    runs from height i - 1 to height j - 1 without dropping below 0.
     """
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError(f"cell indices must lie in 0..{n}")
@@ -206,22 +176,7 @@ def cell_paths(n: int, i: int, j: int) -> tuple[DyckPath, ...]:
         return ()
     if i == n or j == n:
         return (pyramid(n),) if i == j else ()
-    head, tail = RISE * i + FALL, RISE + FALL * j
-    out: list[DyckPath] = []
-    word: list[str] = []
-
-    def go(height: int, left: int) -> None:
-        if left == 0:
-            out.append(DyckPath(head + "".join(word) + tail))
-            return
-        for step, nxt in ((FALL, height - 1), (RISE, height + 1)):
-            if nxt >= 0 and abs(nxt - (j - 1)) <= left - 1:
-                word.append(step)
-                go(nxt, left - 1)
-                word.pop()
-
-    go(i - 1, 2 * n - i - j - 2)
-    return tuple(out)
+    return _walk(RISE * i + FALL, i - 1, 2 * n - i - j - 2, j - 1, RISE + FALL * j)
 
 
 def catalan_number(n: int) -> int:

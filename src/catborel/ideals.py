@@ -18,9 +18,9 @@ right endpoint shifted by one, and the path traces the staircase that
 separates present boxes from absent ones.  The pairs of paths that
 arise this way are exactly those passing the peak-threshold test of
 :func:`is_admissible`, and equivalently those with ``q`` above the
-``min_partner`` of ``p``.  :class:`BasicIdeal` stores that Dyck pair and
-derives each interval set once per path: ``s_plus`` from ``p`` alone,
-``s_minus`` from ``q`` alone.
+``min_partner`` of ``p``.  :class:`BasicIdeal` is that Dyck pair
+(:func:`phi` reads it off) and derives each interval set once per path:
+``s_plus`` from ``p`` alone, ``s_minus`` from ``q`` alone.
 
 On top of the encoding sit the counting formulas, the generator count,
 the quasi-abelian test, the quasi-nilpotency degree, and a matrix
@@ -151,16 +151,6 @@ def _interval_of_coords(coords: tuple[int, ...]) -> Interval:
     return (ones[0], ones[-1])
 
 
-@dataclass(frozen=True)
-class DyckPair:
-    p: DyckPath
-    q: DyckPath
-
-    def __post_init__(self) -> None:
-        if self.p.semilength != self.q.semilength:
-            raise ValueError("paths in a pair must share semilength")
-
-
 # ---------------------------------------------------------------------------
 # grid encoding
 
@@ -232,12 +222,9 @@ def minus_intervals(q: DyckPath) -> frozenset[Interval]:
     )
 
 
-def phi(b: BasicIdeal) -> DyckPair:
-    return DyckPair(b.p, b.q)
-
-
-def phi_inv(p: DyckPath, q: DyckPath) -> BasicIdeal:
-    return BasicIdeal(p, q)
+def phi(b: BasicIdeal) -> tuple[DyckPath, DyckPath]:
+    """The Dyck pair of a basic ideal; ``BasicIdeal(p, q)`` is the inverse."""
+    return (b.p, b.q)
 
 
 def is_admissible(p: DyckPath, q: DyckPath) -> bool:
@@ -313,10 +300,6 @@ def antichain_of(b: BasicIdeal) -> frozenset[WindowRoot]:
             coords = tuple(-c for c in coords)
         out.add(WindowRoot(coords, 0 if kind == "pos" else 1))
     return frozenset(out)
-
-
-def principal(n: int, root: WindowRoot) -> BasicIdeal:
-    return from_antichain(n, [root])
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +381,9 @@ def b_count_cellsum(n: int) -> int:
 
 
 def generators_direct(b: BasicIdeal) -> int:
-    """Number of minimal real support elements; one for the minimum ideal,
-    whose only removable root is the imaginary one."""
-    entries = [("pos", iv) for iv in b.s_plus] + [("neg", iv) for iv in b.s_minus]
-    if not entries:
-        return 1
-    return sum(
-        1
-        for e in entries
-        if not any(o != e and _entry_leq(o, e) for o in entries)
-    )
+    """Number of minimal window-support elements; one for the minimum
+    ideal, whose only removable root is the imaginary one."""
+    return len(antichain_of(b))
 
 
 def generators_formula(b: BasicIdeal) -> int:

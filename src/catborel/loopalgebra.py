@@ -16,13 +16,14 @@ arithmetic.
 Spans are described the only way the callers need: a set of off-diagonal
 unit positions plus, per degree, a list of diagonal vectors.  Unit
 positions are independent coordinates, so membership splits into a
-support check off the diagonal and a small rational solve on it.
+support check off the diagonal and a small exact elimination on it, done
+fraction-free in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 
 Element = dict[tuple[int, int, int], int]
 DiagVector = tuple[int, ...]
@@ -55,13 +56,6 @@ class TruncatedLoopAlgebra:
         if mask == "lower_diag":
             return i >= j
         return True
-
-    def unit(self, deg: int, i: int, j: int) -> Element:
-        if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
-            raise ValueError("unit positions are off-diagonal, 1-based")
-        if not self.keeps(deg, i, j):
-            raise ValueError(f"position ({i},{j}) at degree {deg} is masked out")
-        return {(deg, i, j): 1}
 
     def diagonal(self, deg: int, vec: DiagVector) -> Element:
         if len(vec) != self.n:
@@ -115,10 +109,9 @@ def dual_basis_vector(n: int, m: int) -> DiagVector:
     return tuple((n - m) if idx <= m else -m for idx in range(1, n + 1))
 
 
-def _echelon(vectors: list[DiagVector]) -> list[tuple[Fraction, ...]]:
-    rows = [tuple(Fraction(c) for c in v) for v in vectors]
-    basis: list[tuple[Fraction, ...]] = []
-    for row in rows:
+def _echelon(vectors: list[DiagVector]) -> list[DiagVector]:
+    basis: list[DiagVector] = []
+    for row in vectors:
         row = _reduce_against(row, basis)
         if any(row):
             basis.append(row)
@@ -126,20 +119,27 @@ def _echelon(vectors: list[DiagVector]) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def _pivot(row: tuple[Fraction, ...]) -> int:
+def _pivot(row: DiagVector) -> int:
     for k, c in enumerate(row):
         if c != 0:
             return k
     return len(row)
 
 
-def _reduce_against(row, basis):
+def _reduce_against(row, basis) -> DiagVector:
+    """Clear the row at each basis pivot without fractions: the row is
+    scaled by the pivot entry and divided by its content, so the result
+    is a nonzero multiple of the rational residue and is zero exactly
+    when that residue is."""
     row = list(row)
     for b in basis:
         p = _pivot(b)
         if p < len(row) and row[p] != 0:
-            factor = row[p] / b[p]
-            row = [r - factor * c for r, c in zip(row, b)]
+            c = row[p]
+            row = [r * b[p] - c * x for r, x in zip(row, b)]
+            g = gcd(*row)
+            if g > 1:
+                row = [r // g for r in row]
     return tuple(row)
 
 
@@ -150,7 +150,7 @@ class Span:
     algebra: TruncatedLoopAlgebra
     units: frozenset[tuple[int, int, int]]
     diagonals: dict[int, list[DiagVector]]
-    _diag_echelon: dict[int, list[tuple[Fraction, ...]]] = field(init=False)
+    _diag_echelon: dict[int, list[DiagVector]] = field(init=False)
 
     def __post_init__(self) -> None:
         for key in self.units:
@@ -175,7 +175,7 @@ class Span:
         return out
 
     def contains(self, elem: Element) -> bool:
-        diag_parts: dict[int, list[Fraction]] = {}
+        diag_parts: dict[int, list[int]] = {}
         for (deg, i, j), c in elem.items():
             if c == 0:
                 continue
@@ -183,7 +183,7 @@ class Span:
                 if (deg, i, j) not in self.units:
                     return False
             else:
-                part = diag_parts.setdefault(deg, [Fraction(0)] * self.algebra.n)
+                part = diag_parts.setdefault(deg, [0] * self.algebra.n)
                 part[i - 1] += c
         for deg, part in diag_parts.items():
             if all(c == 0 for c in part):

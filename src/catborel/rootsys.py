@@ -20,15 +20,15 @@ for positive roots a.  Two partial orders are built on D:
   D.  Only xi of loop degree zero or one can keep the sum inside the
   window, so the step set is finite.
 
-Both orders are built as bit rows (row i is an int whose bit j is set
+Both orders are stored as bit rows (row i is an int whose bit j is set
 when element i <= element j): the natural order is the product order on
 the affine coordinates (level, finite + level * highest root), and the
 closure order is Warshall's closure of the step rows, a step being one
 subtraction of linear integer keys and one set lookup.  Each row set is
-checked to be a partial order and materialized as a table of bools, so
-that the coincidence of the two orders is a checkable fact.  The poset
-also carries antichain enumeration and the coideal/minimal-element pair
-used for the ideal normal form.
+checked to be a partial order, so that the coincidence of the two orders
+is a checkable fact.  The poset answers every query from the rows:
+antichain enumeration and the coideal/minimal-element pair used for the
+ideal normal form.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 
 Vector = tuple[int, ...]
 
@@ -214,10 +213,13 @@ def _wr_sort_key(w: WindowRoot) -> tuple:
 
 @dataclass(frozen=True)
 class WindowPoset:
+    """The window D with both orders as bit rows: bit j of ``natural[i]``
+    (resp. ``closure[i]``) is set when element i <= element j."""
+
     system: FiniteRootSystem
     elements: tuple[WindowRoot, ...]
-    natural_table: tuple[tuple[bool, ...], ...]
-    closure_table: tuple[tuple[bool, ...], ...]
+    natural: tuple[int, ...]
+    closure: tuple[int, ...]
 
     def index(self, w: WindowRoot) -> int:
         try:
@@ -230,59 +232,51 @@ class WindowPoset:
         return WindowRoot(tuple(0 for _ in range(self.system.rank)), 1)
 
     def closure_leq(self, a: WindowRoot, b: WindowRoot) -> bool:
-        return self.closure_table[self.index(a)][self.index(b)]
+        return bool(self.closure[self.index(a)] >> self.index(b) & 1)
 
-    def _comparable(self, i: int, j: int) -> bool:
-        return self.closure_table[i][j] or self.closure_table[j][i]
+    def _members(self, mask: int) -> frozenset[WindowRoot]:
+        return frozenset(self.elements[j] for j in _bits(mask))
 
     def antichains(self) -> list[frozenset[WindowRoot]]:
-        """All nonempty antichains of the closure order, in a fixed order."""
-        n = len(self.elements)
+        """All nonempty antichains of the closure order, in a fixed order:
+        depth first, each antichain extended by the later elements that
+        are incomparable to all of its members."""
+        comparable = [row | col for row, col in zip(self.closure, _columns(self.closure))]
         out: list[frozenset[WindowRoot]] = []
-        chosen: list[int] = []
 
-        def extend(start: int) -> None:
-            for i in range(start, n):
-                if all(not self._comparable(i, c) for c in chosen):
-                    chosen.append(i)
-                    out.append(frozenset(self.elements[k] for k in chosen))
-                    extend(i + 1)
-                    chosen.pop()
+        def extend(chosen: int, allowed: int) -> None:
+            for i in _bits(allowed):
+                now = chosen | 1 << i
+                out.append(self._members(now))
+                extend(now, allowed & ~comparable[i] & -(1 << i))
 
-        extend(0)
+        extend(0, (1 << len(self.elements)) - 1)
         return out
 
     def coideal_of(self, antichain) -> frozenset[WindowRoot]:
         """Upward closure of an antichain; rejects comparable input."""
-        members = list(antichain)
-        idx = [self.index(w) for w in members]
-        for a, b in combinations(idx, 2):
-            if self._comparable(a, b):
+        chosen = upset = 0
+        for i in [self.index(w) for w in antichain]:
+            if upset >> i & 1 or self.closure[i] & chosen:
                 raise ValueError("input is not an antichain")
-        return frozenset(
-            self.elements[j]
-            for j in range(len(self.elements))
-            if any(self.closure_table[i][j] for i in idx)
-        )
+            chosen |= 1 << i
+            upset |= self.closure[i]
+        return self._members(upset)
 
     def minimal_elements(self, upset) -> frozenset[WindowRoot]:
         """Minimal members of an upward-closed set; rejects other input."""
-        idx = sorted(self.index(w) for w in upset)
-        inside = set(idx)
-        for i in idx:
-            for j in range(len(self.elements)):
-                if self.closure_table[i][j] and j not in inside:
-                    raise ValueError("input set is not upward closed")
-        return frozenset(
-            self.elements[i]
-            for i in idx
-            if not any(self.closure_table[j][i] for j in inside if j != i)
-        )
+        inside = sum(1 << i for i in {self.index(w) for w in upset})
+        strictly_above = 0
+        for i in _bits(inside):
+            if self.closure[i] & ~inside:
+                raise ValueError("input set is not upward closed")
+            strictly_above |= self.closure[i] & ~(1 << i)
+        return self._members(inside & ~strictly_above)
 
-    def cover_relations(self, order: str = "closure") -> dict[str, list[str]]:
-        """Adjacency lists of cover relations, keyed by element label."""
-        table = self.closure_table if order == "closure" else self.natural_table
-        rows = _rows_of(table)
+    def cover_relations(self) -> dict[str, list[str]]:
+        """Adjacency lists of the closure order's cover relations, keyed by
+        element label."""
+        rows = self.closure
         labels = [w.label for w in self.elements]
         covers: dict[str, list[str]] = {label: [] for label in labels}
         for i, row in enumerate(rows):
@@ -304,12 +298,13 @@ def _bits(row: int):
         row ^= low
 
 
-def _rows_of(table) -> list[int]:
-    return [int("".join(map("01".__getitem__, reversed(row))), 2) for row in table]
-
-
-def _table_of(rows: list[int], n: int) -> tuple[tuple[bool, ...], ...]:
-    return tuple(tuple(c == "1" for c in reversed(format(row, f"0{n}b"))) for row in rows)
+def _columns(rows) -> list[int]:
+    """The transposed relation: bit i of column j is bit j of row i."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return cols
 
 
 def _dominated(vectors, bounds) -> list[int]:
@@ -337,7 +332,7 @@ def _key(v: Vector, base: int) -> int:
 
 
 def window(system: FiniteRootSystem) -> WindowPoset:
-    """The window poset of a finite root system, both orders materialized."""
+    """The window poset of a finite root system, both orders built."""
     rank = system.rank
     zero = tuple(0 for _ in range(rank))
     elements = (
@@ -376,24 +371,15 @@ def window(system: FiniteRootSystem) -> WindowPoset:
 
     _check_partial_order(natural, "natural")
     _check_partial_order(closure, "closure")
-    return WindowPoset(
-        system=system,
-        elements=elements_t,
-        natural_table=_table_of(natural, n),
-        closure_table=_table_of(closure, n),
-    )
+    return WindowPoset(system, elements_t, tuple(natural), tuple(closure))
 
 
 def _check_partial_order(rows: list[int], name: str) -> None:
     """Reflexivity, antisymmetry and transitivity of a relation in bit rows."""
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
+    for i, (row, col) in enumerate(zip(rows, _columns(rows))):
         if not row >> i & 1:
             raise AssertionError(f"{name} order is not reflexive")
-        for j in _bits(row):
-            cols[j] |= 1 << i
-    for i, row in enumerate(rows):
-        if row & cols[i] != 1 << i:
+        if row & col != 1 << i:
             raise AssertionError(f"{name} order is not antisymmetric")
     for row in rows:
         for j in _bits(row):
@@ -402,7 +388,7 @@ def _check_partial_order(rows: list[int], name: str) -> None:
 
 
 def orders_coincide(poset: WindowPoset) -> bool:
-    return poset.natural_table == poset.closure_table
+    return poset.natural == poset.closure
 
 
 def highest_root_split_search(system: FiniteRootSystem) -> list[tuple[Vector, Vector, Vector]]:

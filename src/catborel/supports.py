@@ -147,8 +147,8 @@ def enumerate_classes(n: int) -> list[tuple[SupportQuadruple, str]]:
                         if not gaps <= v0p:
                             continue
                         if force_top:
-                            if path_leq(lo, top):
-                                out.append((SupportQuadruple(n, p, q, pp, top), "III"))
+                            # top is the dominance maximum, so it clears lo
+                            out.append((SupportQuadruple(n, p, q, pp, top), "III"))
                         else:
                             for qp in paths:
                                 if path_leq(lo, qp):
@@ -206,13 +206,6 @@ def assemble_support(ls: LevelledSupport) -> dict:
         "explicit": explicit,
         "tail_from": l + 1,
     }
-
-
-def window_index(entry: dict) -> int:
-    """Index i of the window copy D_i that an explicit entry lies in."""
-    if entry["kind"] == "pos":
-        return entry["shift"]
-    return entry["shift"] - 1
 
 
 def check_layer_restrictions(t: SupportQuadruple) -> bool:

@@ -204,8 +204,7 @@ def suite_ideals(max_n: int) -> list[Check]:
     round_ok = True
     for n in range(1, bound6 + 1):
         for b in ideals.basic_ideals(n):
-            pair = ideals.phi(b)
-            if ideals.phi_inv(pair.p, pair.q) != b:
+            if ideals.BasicIdeal(*ideals.phi(b)) != b:
                 round_ok = False
             if ideals.from_antichain(n, ideals.antichain_of(b)) != b:
                 round_ok = False
@@ -308,9 +307,9 @@ def suite_supports(max_n: int) -> list[Check]:
     embed_ok = True
     for n in range(1, bound4 + 1):
         for b in ideals.basic_ideals(n):
-            pair = ideals.phi(b)
+            p, q = ideals.phi(b)
             t = supports.SupportQuadruple(
-                n, pair.p, pair.q,
+                n, p, q,
                 dyck.staircase(n) if n > 1 else dyck.pyramid(1),
                 dyck.pyramid(n),
             )

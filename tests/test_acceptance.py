@@ -152,12 +152,12 @@ def test_criterion_09_generator_count_two_ways():
                 assert ideals.generators_direct(b) == ideals.generators_formula(b)
         # the unguarded expression undercounts on this ideal, exactly as documented
         b = ideals.BasicIdeal.from_intervals(3, {(1, 2)}, set())
-        pair = ideals.phi(b)
-        a, bb = pair.p.first_peak, pair.p.last_peak
-        c, d = pair.q.first_peak, pair.q.last_peak
+        p, q = ideals.phi(b)
+        a, bb = p.first_peak, p.last_peak
+        c, d = q.first_peak, q.last_peak
         unguarded = (
-            len(pair.p.valleys)
-            + dyck.peaks_at_least(pair.q, 2)
+            len(p.valleys)
+            + dyck.peaks_at_least(q, 2)
             - (1 if d == 3 - a else 0)
             - (1 if c == 3 - bb else 0)
         )

@@ -183,6 +183,14 @@ def test_threads_flag_does_not_change_output():
         ("verify", "--max-n", "0"),
         ("verify", "--max-n", "-1"),
         ("support-classes", "--n", "2", "--level", "0"),
+        ("catalan-matrix", "0"),
+        ("cells", "--n", "0"),
+        ("cells", "--n", "0", "--format", "json"),
+        ("cells", "--n", "-2", "--format", "csv"),
+        ("cells", "--n", "0", "--i", "1", "--j", "1"),
+        ("enumerate-basic", "--n", "0"),
+        ("qnd-histogram", "--n", "-1"),
+        ("support-classes", "--n", "0", "--format", "bfile"),
     ],
 )
 def test_out_of_range_integers_exit_one(args):

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -15,47 +16,46 @@ from catborel.dyck import (
     floor_gap_points,
     insert_peak_after_rises,
     min_partner,
-    parse,
     path_leq,
+    peaks_at_least,
     pyramid,
     staircase,
-    star,
-    stats,
     valley_xs_at_height,
 )
 from catborel.matrices import catalan_matrix
 
 
 def test_parse_valid_words():
-    assert parse("rrrffrfrff").semilength == 5
-    assert parse("rf").semilength == 1
+    assert DyckPath("rrrffrfrff").semilength == 5
+    assert DyckPath("rf").semilength == 1
 
 
 @pytest.mark.parametrize("word", ["fr", "rrf", "rfx", "", "rffr"])
 def test_parse_rejects_bad_words(word):
     with pytest.raises(ValueError):
-        parse(word)
+        DyckPath(word)
 
 
 def test_stats_worked_example():
-    s = stats(parse("rrrffrfrff"))
-    assert s.first_peak == 3
-    assert s.last_peak == 2
-    assert [h for _, h in s.valley_xs] == [1, 1]
+    p = DyckPath("rrrffrfrff")
+    assert p.first_peak == 3
+    assert p.last_peak == 2
+    assert [h for _, h in p.valleys] == [1, 1]
 
 
 def test_stats_staircase_valleys():
-    s = stats(staircase(3))
-    assert [x for x, _ in s.valley_xs] == [2, 4]
-    assert all(h == 0 for _, h in s.valley_xs)
-    assert s.v_count_by_height[0] == 2
+    p = staircase(3)
+    assert [x for x, _ in p.valleys] == [2, 4]
+    assert all(h == 0 for _, h in p.valleys)
 
 
 def test_stats_small_path():
-    s = stats(parse("rrfrff"))
-    assert (s.first_peak, s.last_peak) == (2, 2)
-    assert s.valley_xs == ((3, 1),)
-    assert s.p_at_least[1] == 2  # both peaks have height >= 2
+    p = DyckPath("rrfrff")
+    assert (p.first_peak, p.last_peak) == (2, 2)
+    assert p.valleys == ((3, 1),)
+    assert p.peaks == ((2, 2), (4, 2))
+    assert peaks_at_least(p, 2) == 2  # both peaks have height >= 2
+    assert peaks_at_least(p, 3) == 0
 
 
 def test_stats_match_independent_profile_scan():
@@ -80,20 +80,20 @@ def test_stats_match_independent_profile_scan():
 
 
 def test_star_worked_example():
-    assert star(parse("rrrfrrffff")).word == "rrrrffrfff"
+    assert DyckPath("rrrfrrffff").reflect().word == "rrrrffrfff"
 
 
 def test_star_is_involution():
     for p in all_paths(4):
-        assert star(star(p)) == p
-    assert star(pyramid(5)) == pyramid(5)
+        assert p.reflect().reflect() == p
+    assert pyramid(5).reflect() == pyramid(5)
 
 
 def test_star_swaps_cells():
     for n in range(1, 9):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                image = {star(p) for p in cell_paths(n, i, j)}
+                image = {p.reflect() for p in cell_paths(n, i, j)}
                 assert image == set(cell_paths(n, j, i))
 
 
@@ -101,12 +101,12 @@ def test_dominance_order():
     for n in range(2, 6):
         assert path_leq(staircase(n), pyramid(n))
         assert not path_leq(pyramid(n), staircase(n))
-    p = parse("rfrrff")
+    p = DyckPath("rfrrff")
     assert path_leq(p, p)
     # each pair below is strictly comparable: false in exactly one direction
     for low, high in [("rfrrff", "rrfrff"), ("rfrrff", "rrrfff")]:
-        assert path_leq(parse(low), parse(high))
-        assert not path_leq(parse(high), parse(low))
+        assert path_leq(DyckPath(low), DyckPath(high))
+        assert not path_leq(DyckPath(high), DyckPath(low))
     with pytest.raises(ValueError):
         path_leq(pyramid(2), pyramid(3))
 
@@ -116,6 +116,22 @@ def test_enumeration_counts_and_order():
     words = [p.word for p in all_paths(4)]
     assert words == sorted(words)  # lexicographic with 'f' < 'r'
     assert len(set(words)) == len(words)
+
+
+def _words_by_rise_positions(n):
+    """Every placement of n rises among 2n steps whose prefixes never
+    fall below zero, sorted in word order."""
+    words = []
+    for rises in combinations(range(2 * n), n):
+        heights = accumulate(1 if k in rises else -1 for k in range(2 * n))
+        if min(heights) >= 0:
+            words.append("".join("r" if k in rises else "f" for k in range(2 * n)))
+    return sorted(words)
+
+
+def test_all_paths_match_combinations_reference():
+    for n in range(1, 9):
+        assert [p.word for p in all_paths(n)] == _words_by_rise_positions(n), n
 
 
 def test_cell_examples():
@@ -153,12 +169,12 @@ def test_cell_paths_match_brute_filter():
 
 
 def test_delete_and_insert_peak():
-    assert delete_first_peak(parse("rrfrff")).word == "rrff"
-    assert insert_peak_after_rises(parse("rrff"), 2).word == "rrfrff"
+    assert delete_first_peak(DyckPath("rrfrff")).word == "rrff"
+    assert insert_peak_after_rises(DyckPath("rrff"), 2).word == "rrfrff"
     with pytest.raises(ValueError):
-        delete_first_peak(parse("rf"))
+        delete_first_peak(DyckPath("rf"))
     with pytest.raises(ValueError):
-        insert_peak_after_rises(parse("rf"), 3)
+        insert_peak_after_rises(DyckPath("rf"), 3)
 
 
 def test_peak_maps_are_inverse_bijections():
@@ -246,7 +262,7 @@ def test_cells_are_meet_closed():
 def test_min_partner_examples():
     for n in range(2, 7):
         assert min_partner(pyramid(n)) == staircase(n)
-    assert min_partner(parse("rfrrff")) == parse("rfrrff")
+    assert min_partner(DyckPath("rfrrff")) == DyckPath("rfrrff")
     assert cell_min(2, 2, 2) == pyramid(2)
 
 

@@ -1,10 +1,9 @@
 import pytest
 
 from catborel import rootsys
-from catborel.dyck import all_paths, min_partner, parse, path_leq, pyramid, staircase
+from catborel.dyck import DyckPath, all_paths, min_partner, path_leq, pyramid, staircase
 from catborel.ideals import (
     BasicIdeal,
-    DyckPair,
     antichain_of,
     b_count_cellsum,
     b_count_formula,
@@ -23,10 +22,8 @@ from catborel.ideals import (
     nd_plus,
     normalize_support,
     phi,
-    phi_inv,
     plus_intervals,
     plus_path,
-    principal,
     qnd_direct,
     qnd_from_plus_degree,
     quasi_abelian_count,
@@ -58,8 +55,8 @@ def delta_root(n):
 def test_grid_walk_matches_drawn_example():
     assert plus_path(6, FIG_PLUS).word == "rrfrfrrffrff"
     assert minus_path(6, FIG_MINUS).word == "rrffrrfrrfff"
-    assert plus_intervals(parse("rrfrfrrffrff")) == frozenset(FIG_PLUS)
-    assert minus_intervals(parse("rrffrrfrrfff")) == frozenset(FIG_MINUS)
+    assert plus_intervals(DyckPath("rrfrfrrffrff")) == frozenset(FIG_PLUS)
+    assert minus_intervals(DyckPath("rrffrrfrrfff")) == frozenset(FIG_MINUS)
 
 
 def test_encoding_anchors():
@@ -72,10 +69,8 @@ def test_encoding_anchors():
 
 
 def test_minimum_and_full_ideal_pairs():
-    pair = phi(ideal(4))
-    assert (pair.p, pair.q) == (pyramid(4), staircase(4))
-    pair = phi(full_ideal(4))
-    assert (pair.p, pair.q) == (staircase(4), pyramid(4))
+    assert phi(ideal(4)) == (pyramid(4), staircase(4))
+    assert phi(full_ideal(4)) == (staircase(4), pyramid(4))
 
 
 def test_encoding_is_monotone():
@@ -114,18 +109,17 @@ def test_admissibility_examples():
 def test_phi_inverse_round_trip():
     for n in range(1, 7):
         for b in basic_ideals(n):
-            pair = phi(b)
-            assert phi_inv(pair.p, pair.q) == b
+            assert BasicIdeal(*phi(b)) == b
 
 
 def test_phi_inv_rejects_inadmissible():
     with pytest.raises(ValueError):
-        phi_inv(staircase(3), staircase(3))
+        BasicIdeal(staircase(3), staircase(3))
 
 
 def test_dyck_pair_validation():
     with pytest.raises(ValueError):
-        DyckPair(pyramid(2), pyramid(3))
+        BasicIdeal(pyramid(2), pyramid(3))
 
 
 def test_counts_three_ways():
@@ -163,7 +157,7 @@ def test_partner_index_matches_brute_filter():
 
 def test_enumeration_order_is_by_word_pair():
     for n in (3, 4):
-        pairs = [(phi(b).p.word, phi(b).q.word) for b in enumerate_basic(n)]
+        pairs = [tuple(path.word for path in phi(b)) for b in enumerate_basic(n)]
         assert pairs == sorted(pairs)
         assert len(set(pairs)) == len(pairs)
 
@@ -196,7 +190,7 @@ def test_from_antichain_delta_is_minimum_ideal():
     for n in (1, 2, 3, 5):
         b = from_antichain(n, [delta_root(n)])
         assert b == ideal(n)
-        assert principal(n, delta_root(n)) == b
+
 
 
 def test_from_antichain_rejects_bad_input():
@@ -213,7 +207,7 @@ def test_antichain_round_trip_and_principal_join():
             assert from_antichain(n, chain) == b
             s_plus, s_minus = set(), set()
             for w in chain:
-                piece = principal(n, w)
+                piece = from_antichain(n, [w])
                 s_plus |= piece.s_plus
                 s_minus |= piece.s_minus
             assert (frozenset(s_plus), frozenset(s_minus)) == (b.s_plus, b.s_minus)
@@ -238,8 +232,9 @@ def test_window_supports_are_poset_coideals():
         poset = rootsys.window(rootsys.build_root_system(f"A{n - 1}"))
         for b in basic_ideals(n)[:40]:
             support = b.window_support()
-            upset = poset.coideal_of(poset.minimal_elements(support))
-            assert upset == support
+            minimal = poset.minimal_elements(support)
+            assert minimal == antichain_of(b)
+            assert poset.coideal_of(minimal) == support
 
 
 def test_generator_counts_agree():
@@ -258,14 +253,14 @@ def test_generator_examples():
 def test_generator_endpoint_correction_guard():
     # with s_plus the longest root only, the unguarded expression gives -1
     b = ideal(3, s_plus={(1, 2)})
-    pair = phi(b)
-    assert (pair.p.word, pair.q.word) == ("rrfrff", "rfrfrf")
+    p, q = phi(b)
+    assert (p.word, q.word) == ("rrfrff", "rfrfrf")
     n = 3
-    a, bb = pair.p.first_peak, pair.p.last_peak
-    c, d = pair.q.first_peak, pair.q.last_peak
+    a, bb = p.first_peak, p.last_peak
+    c, d = q.first_peak, q.last_peak
     unguarded = (
-        len(pair.p.valleys)
-        + sum(1 for _, h in pair.q.peaks if h >= 2)
+        len(p.valleys)
+        + sum(1 for _, h in q.peaks if h >= 2)
         - (1 if d == n - a else 0)
         - (1 if c == n - bb else 0)
     )

@@ -6,19 +6,21 @@ Where a test generates a whole cell, examples whose cell holds more than
 builds no cell, so its test takes every example.
 """
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from catborel.dyck import DyckPath, cell_count, cell_paths, min_partner, path_leq, staircase
+from catborel.loopalgebra import Span, TruncatedLoopAlgebra
 from catborel.matrices import matrix, tau
 from catborel.ideals import (
     BasicIdeal,
     is_admissible,
     nd_plus,
     phi,
-    phi_inv,
     qnd_direct,
     qnd_from_plus_degree,
 )
@@ -70,10 +72,10 @@ def admissible_pairs(draw, lo=9, hi=20):
 def test_pair_interval_round_trip(pair):
     p, q = pair
     assert is_admissible(p, q)
-    b = phi_inv(p, q)
+    b = BasicIdeal(p, q)
     again = BasicIdeal.from_intervals(b.n, set(b.s_plus), set(b.s_minus))
     assert again == b and hash(again) == hash(b)
-    assert (phi(again).p, phi(again).q) == (p, q)
+    assert phi(again) == (p, q)
 
 
 @settings(max_examples=25, deadline=None)
@@ -111,6 +113,50 @@ def test_generated_cell_has_its_peaks_and_size(cell):
 def test_admissible_partner_dominates_min_partner(pair):
     p, q = pair
     assert path_leq(min_partner(p), q)
+
+
+def fraction_rank(vectors):
+    """Rank by Gaussian elimination over the rationals."""
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def traceless_vectors(draw, n, count):
+    """``count`` traceless integer vectors of length n, small entries so
+    that dependent sets are common."""
+    out = []
+    for _ in range(count):
+        head = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        out.append(tuple(head) + (-sum(head),))
+    return out
+
+
+@st.composite
+def span_and_probe(draw):
+    n = draw(st.integers(2, 6))
+    return n, draw(traceless_vectors(n, draw(st.integers(0, n)))), draw(traceless_vectors(n, 1))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_and_probe())
+def test_span_contains_matches_fraction_rank(case):
+    n, vectors, probe = case
+    algebra = TruncatedLoopAlgebra(n, ("upper", "lower_diag"))
+    span = Span(algebra, frozenset(), {1: vectors})
+    inside = fraction_rank(vectors + [probe]) == fraction_rank(vectors)
+    assert span.contains(algebra.diagonal(1, probe)) == inside
 
 
 @st.composite

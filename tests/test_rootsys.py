@@ -94,22 +94,19 @@ def test_orders_coincide():
 def test_closure_is_subset_of_natural():
     for label in ["A3", "B3", "C3", "G2", "D4"]:
         poset = window(build_root_system(label))
-        n = len(poset.elements)
-        for i in range(n):
-            for j in range(n):
-                if poset.closure_table[i][j]:
-                    assert poset.natural_table[i][j]
+        for closure_row, natural_row in zip(poset.closure, poset.natural):
+            assert closure_row & ~natural_row == 0
 
 
 def test_corrupted_table_detected():
     poset = window(build_root_system("A2"))
-    rows = [list(r) for r in poset.closure_table]
-    rows[0][1] = not rows[0][1]
+    rows = list(poset.closure)
+    rows[0] ^= 1 << 1
     corrupted = WindowPoset(
         system=poset.system,
         elements=poset.elements,
-        natural_table=poset.natural_table,
-        closure_table=tuple(tuple(r) for r in rows),
+        natural=poset.natural,
+        closure=tuple(rows),
     )
     assert not orders_coincide(corrupted)
 
@@ -255,27 +252,62 @@ WINDOW_TYPES = [
 ]
 
 
+def rows_of(table):
+    """Bit rows of a table of bools: bit j of row i is table[i][j]."""
+    return tuple(sum(1 << j for j, v in enumerate(row) if v) for row in table)
+
+
 @pytest.mark.parametrize("label", WINDOW_TYPES)
 def test_window_matches_brute_reference(label):
     poset = window(build_root_system(label))
     natural, closure = brute_tables(poset)
-    assert poset.natural_table == tuple(tuple(r) for r in natural)
-    assert poset.closure_table == tuple(tuple(r) for r in closure)
+    assert poset.natural == rows_of(natural)
+    assert poset.closure == rows_of(closure)
     assert brute_is_partial_order(closure)
-    for order, table in (("closure", closure), ("natural", natural)):
-        assert poset.cover_relations(order) == brute_covers(poset.elements, table)
+    assert poset.cover_relations() == brute_covers(poset.elements, closure)
+    # the natural order's covers, from a poset whose closure rows are natural
+    as_natural = WindowPoset(poset.system, poset.elements, poset.natural, poset.natural)
+    assert as_natural.cover_relations() == brute_covers(poset.elements, natural)
 
 
 def test_cover_relations_of_a_relation_that_is_not_an_order():
     # the rows and the brute loop read the same definition on any table
     poset = window(build_root_system("A2"))
-    rows = [list(r) for r in poset.closure_table]
+    n = len(poset.elements)
+    rows = [[bool(r >> j & 1) for j in range(n)] for r in poset.closure]
     rows[0][1] = not rows[0][1]
     rows[3][3] = False
     rows[5][2] = True
-    table = tuple(tuple(r) for r in rows)
-    corrupted = WindowPoset(poset.system, poset.elements, poset.natural_table, table)
-    assert corrupted.cover_relations() == brute_covers(poset.elements, table)
+    corrupted = WindowPoset(poset.system, poset.elements, poset.natural, rows_of(rows))
+    assert corrupted.cover_relations() == brute_covers(poset.elements, rows)
+
+
+def brute_antichains(poset):
+    """Antichains by the pairwise extend: depth first, each later element
+    tested against every chosen member with ``closure_leq``."""
+    elements = poset.elements
+    out = []
+    chosen = []
+
+    def comparable(a, b):
+        return poset.closure_leq(a, b) or poset.closure_leq(b, a)
+
+    def extend(start):
+        for i in range(start, len(elements)):
+            if all(not comparable(elements[i], c) for c in chosen):
+                chosen.append(elements[i])
+                out.append(frozenset(chosen))
+                extend(i + 1)
+                chosen.pop()
+
+    extend(0)
+    return out
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B3"])
+def test_antichains_match_pairwise_reference_in_order(label):
+    poset = window(build_root_system(label))
+    assert poset.antichains() == brute_antichains(poset)
 
 
 def _chain_rows():
