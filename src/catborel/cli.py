@@ -71,7 +71,7 @@ def _emit_matrix(key: str, m: matrices.ExactMatrix, args) -> None:
 
 
 def cmd_catalan_matrix(args) -> int:
-    _emit_matrix("entries", matrices.catalan_matrix(args.n), args)
+    _emit_matrix("entries", matrices.matrix(dyck.cell_count_rows(args.n)), args)
     return 0
 
 
@@ -86,8 +86,7 @@ def cmd_cells(args) -> int:
         else:
             _emit("".join(w + "\n" for w in words), args.out)
         return 0
-    counts = [[dyck.cell_count(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    _emit_matrix("counts", matrices.matrix(counts), args)
+    _emit_matrix("counts", matrices.matrix(dyck.cell_count_rows(n)), args)
     return 0
 
 

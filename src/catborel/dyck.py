@@ -183,29 +183,6 @@ def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def delete_first_peak(p: DyckPath) -> DyckPath:
-    """Remove the leftmost 'rf' factor, shortening the semilength by one."""
-    if p.semilength < 2:
-        raise ValueError("path must have semilength at least 2")
-    k = p.word.find(RISE + FALL)
-    return DyckPath(p.word[:k] + p.word[k + 2 :])
-
-
-def insert_peak_after_rises(p: DyckPath, i: int) -> DyckPath:
-    """Insert an 'rf' factor right after the first i - 1 rises."""
-    if i < 1:
-        raise ValueError("i must be at least 1")
-    if i - 1 > p.semilength:
-        raise ValueError(f"path has fewer than {i - 1} rises")
-    seen = 0
-    pos = 0
-    while seen < i - 1:
-        if p.word[pos] == RISE:
-            seen += 1
-        pos += 1
-    return DyckPath(p.word[:pos] + RISE + FALL + p.word[pos:])
-
-
 def _path_from_heights(heights: tuple[int, ...]) -> DyckPath:
     word = []
     for a, b in zip(heights, heights[1:]):
@@ -296,3 +273,9 @@ def cell_count(n: int, i: int, j: int) -> int:
     if n in (i, j):
         return int(i == j)
     return cell_count_formula(n, i, j)
+
+
+def cell_count_rows(n: int) -> list[list[int]]:
+    """The cell-count matrix C(n) as rows: row i - 1, column j - 1 holds
+    the size of cell (i, j)."""
+    return [[cell_count(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dyck import DyckPath, all_paths, cell_count, path_leq, peaks_at_least
+from .dyck import DyckPath, all_paths, cell_count_rows, path_leq, peaks_at_least
 from .loopalgebra import (
     Span,
     TruncatedLoopAlgebra,
@@ -42,7 +42,6 @@ from .loopalgebra import (
     cartan_basis,
     stable_under,
 )
-from .matrices import catalan_matrix
 from .rootsys import WindowRoot
 
 Interval = tuple[int, int]
@@ -318,15 +317,16 @@ def _partner_index(n: int) -> dict[tuple[int, int], tuple[DyckPath, ...]]:
     }
 
 
-def _partners(p: DyckPath) -> tuple[DyckPath, ...]:
-    """Every q that makes (p, q) admissible, in word order."""
+def partners(p: DyckPath) -> tuple[DyckPath, ...]:
+    """Every q that makes (p, q) admissible, in word order: by the tent
+    argument of :func:`is_quasi_abelian`, the paths above min_partner(p)."""
     n = p.semilength
     return _partner_index(n)[(n - p.last_peak, n - p.first_peak)]
 
 
 def enumerate_basic(n: int) -> list[BasicIdeal]:
     """All basic ideals, ordered by the word pair of their Dyck encoding."""
-    return [BasicIdeal(p, q) for p in all_paths(n) for q in _partners(p)]
+    return [BasicIdeal(p, q) for p in all_paths(n) for q in partners(p)]
 
 
 def b_count_formula(n: int) -> int:
@@ -340,10 +340,8 @@ def b_count_formula(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    c = [[0] * (n + 2) for _ in range(n + 2)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            c[i][j] = cell_count(n, i, j)
+    # C(n) inside a zero border, so that c[i][j] is entry (i, j)
+    c = [[0] * (n + 2)] + [[0, *row, 0] for row in cell_count_rows(n)] + [[0] * (n + 2)]
     s = [[0] * (n + 2) for _ in range(n + 2)]
     for k in range(n, 0, -1):
         for m in range(n, 0, -1):
@@ -353,27 +351,6 @@ def b_count_formula(n: int) -> int:
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     )
-
-
-def b_count_cellsum(n: int) -> int:
-    """The same count as an explicit fourfold sum over matrix entries."""
-    c = catalan_matrix(n)
-
-    def entry(i: int, j: int) -> int:
-        if 1 <= i <= n and 1 <= j <= n:
-            return c.entry(i, j)
-        return 0
-
-    total = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            inner = sum(
-                entry(k, m)
-                for k in range(max(1, n - i), n + 1)
-                for m in range(max(1, n - j), n + 1)
-            )
-            total += entry(i, j) * inner
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +408,7 @@ def is_quasi_abelian(b: BasicIdeal) -> bool:
 def quasi_abelian_count(n: int) -> int:
     """Number of quasi-abelian basic ideals: admissible pairs with q <= p
     (see :func:`is_quasi_abelian` for why that test suffices)."""
-    return sum(1 for p in all_paths(n) for q in _partners(p) if path_leq(q, p))
+    return sum(1 for p in all_paths(n) for q in partners(p) if path_leq(q, p))
 
 
 @lru_cache(maxsize=None)
@@ -505,38 +482,6 @@ def qnd_from_plus_degree(b: BasicIdeal) -> int:
     if m == 0:
         return 1
     return m + 1 if powers[m - 1] & b.s_minus else m
-
-
-# ---------------------------------------------------------------------------
-# shift normal form
-
-
-def normalize_support(n: int, shifted_roots) -> BasicIdeal:
-    """Recover the basic representative from a uniformly shifted window
-    support given as (window root, shift) pairs; entries above the
-    minimal shift belong to the implied tail and are only shape-checked.
-    """
-    items = list(shifted_roots)
-    if not items:
-        raise ValueError("support description is empty")
-    for w, _ in items:
-        _window_entry(w)  # validates the root shape
-    k0 = min(k for _, k in items)
-    base = [w for w, k in items if k == k0]
-    s_plus = set()
-    s_minus = set()
-    saw_delta = False
-    for w in base:
-        kind, iv = _window_entry(w)
-        if kind == "pos":
-            s_plus.add(iv)
-        elif kind == "neg":
-            s_minus.add(iv)
-        else:
-            saw_delta = True
-    if not saw_delta:
-        raise ValueError("minimal layer of a shifted basic support must contain delta")
-    return BasicIdeal.from_intervals(n, s_plus, s_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .dyck import (
     staircase,
     valley_xs_at_height,
 )
-from .ideals import Interval, minus_intervals, plus_intervals
+from .ideals import Interval, minus_intervals, partners, plus_intervals
 from .loopalgebra import (
     Span,
     TruncatedLoopAlgebra,
@@ -123,43 +123,33 @@ def enumerate_classes(n: int) -> list[tuple[SupportQuadruple, str]]:
     paths = all_paths(n)
     top = pyramid(n)
     bottom = staircase(n)
-    prime_data = [
-        (pp, valley_xs_at_height(pp, 0), min_partner(pp)) for pp in paths
-    ]
+    prime_data = [(pp, valley_xs_at_height(pp, 0)) for pp in paths]
 
     def classes_for(p: DyckPath) -> list[tuple[SupportQuadruple, str]]:
         out = []
         if p == top:
             for q in paths:
                 if q == bottom:
-                    for pp, v0p, lo in prime_data:
+                    for pp, v0p in prime_data:
                         if len(v0p) == 1:
                             out.append((SupportQuadruple(n, p, q, pp, top), "I"))
                         elif len(v0p) > 1:
-                            for qp in paths:
-                                if path_leq(lo, qp):
-                                    out.append((SupportQuadruple(n, p, q, pp, qp), "II"))
+                            for qp in partners(pp):
+                                out.append((SupportQuadruple(n, p, q, pp, qp), "II"))
                 else:
                     gaps = floor_gap_points(q)
                     v0_q = valley_xs_at_height(q, 0)
                     force_top = 2 not in v0_q or 2 * n - 2 not in v0_q
-                    for pp, v0p, lo in prime_data:
+                    for pp, v0p in prime_data:
                         if not gaps <= v0p:
                             continue
-                        if force_top:
-                            # top is the dominance maximum, so it clears lo
-                            out.append((SupportQuadruple(n, p, q, pp, top), "III"))
-                        else:
-                            for qp in paths:
-                                if path_leq(lo, qp):
-                                    out.append((SupportQuadruple(n, p, q, pp, qp), "III"))
+                        # top is the dominance maximum, so it is always a partner
+                        for qp in (top,) if force_top else partners(pp):
+                            out.append((SupportQuadruple(n, p, q, pp, qp), "III"))
         else:
-            lo_p = min_partner(p)
-            for q in paths:
-                if not path_leq(lo_p, q):
-                    continue
+            for q in partners(p):
                 needed = floor_gap_points(q) | {2, 2 * n - 2}
-                for pp, v0p, _ in prime_data:
+                for pp, v0p in prime_data:
                     if needed <= v0p:
                         out.append((SupportQuadruple(n, p, q, pp, top), "IV"))
         return out
@@ -181,30 +171,6 @@ def layer_intervals(t: SupportQuadruple) -> dict[str, frozenset[Interval]]:
         "a_minus": minus_intervals(t.q),
         "a_plus_prime": plus_intervals(t.p_prime),
         "a_minus_prime": minus_intervals(t.q_prime),
-    }
-
-
-def assemble_support(ls: LevelledSupport) -> dict:
-    """Finite description of the full support: the two imaginary roots,
-    the four explicit layers, and the symbolic tail marker."""
-    t = ls.quadruple
-    layers = layer_intervals(t)
-    l = ls.level
-    explicit = []
-    for iv in sorted(layers["a_plus"]):
-        explicit.append({"kind": "pos", "interval": list(iv), "shift": l - 1})
-    for iv in sorted(layers["a_minus"]):
-        explicit.append({"kind": "neg", "interval": list(iv), "shift": l})
-    for iv in sorted(layers["a_plus_prime"]):
-        explicit.append({"kind": "pos", "interval": list(iv), "shift": l})
-    for iv in sorted(layers["a_minus_prime"]):
-        explicit.append({"kind": "neg", "interval": list(iv), "shift": l + 1})
-    return {
-        "n": t.n,
-        "level": l,
-        "imaginary": [l, l + 1],
-        "explicit": explicit,
-        "tail_from": l + 1,
     }
 
 

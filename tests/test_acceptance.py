@@ -112,7 +112,8 @@ def test_criterion_05_b_sequence_three_ways():
     with criterion(5, 60):
         for n in range(1, 11):
             assert ideals.b_count_formula(n) == B_SEQUENCE[n - 1]
-            assert ideals.b_count_cellsum(n) == B_SEQUENCE[n - 1]
+            c = matrices.catalan_matrix(n)
+            assert matrices.dot(c, matrices.omega(c)) == B_SEQUENCE[n - 1]
         for n in range(1, 9):
             assert len(ideals.basic_ideals(n)) == B_SEQUENCE[n - 1]
 

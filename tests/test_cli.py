@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from catborel import cli, dyck, ideals
+from catborel import cli, dyck, ideals, matrices
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -60,6 +60,21 @@ def test_cells_table_matches_generated_cells(fmt):
     else:
         sep = "," if fmt == "csv" else None
         assert [[int(v) for v in line.split(sep)] for line in out.splitlines()] == counts
+
+
+def test_catalan_matrix_matches_tau_recursion(capsys):
+    """The command prints the closed-form cell counts; its oracle is the
+    tau recursion of matrices.catalan_matrix, rendered the same way."""
+    for n in range(1, 31):
+        c = matrices.catalan_matrix(n)
+        expected = {
+            "table": matrices.format_table(c) + "\n",
+            "csv": "".join(",".join(str(v) for v in row) + "\n" for row in c.rows()),
+            "json": json.dumps({"n": n, "entries": c.rows()}, sort_keys=True, indent=2) + "\n",
+        }
+        for fmt, text in expected.items():
+            assert cli.main(["catalan-matrix", str(n), "--format", fmt]) == 0
+            assert capsys.readouterr().out == text, (n, fmt)
 
 
 def test_enumerate_basic_json_round_trip():
@@ -200,6 +215,14 @@ def test_out_of_range_integers_exit_one(args):
     assert "must be at least 1" in err
 
 
+def test_verify_below_two_exits_one():
+    # at max-n 1 every enumerating check would see nothing but n = 1
+    code, out, err = run_cli("verify", "--max-n", "1")
+    assert code == 1
+    assert out == ""
+    assert "must be at least 2" in err
+
+
 FORMATS = ("table", "json", "csv", "bfile")
 SUPPORTED = {
     ("catalan-matrix", "3"): ("table", "json", "csv"),
@@ -211,7 +234,7 @@ SUPPORTED = {
     ("support-classes", "--n", "2"): FORMATS,
     ("split-search", "--type", "A2"): ("table", "json"),
     ("order-check", "--type", "A2"): ("table", "json"),
-    ("verify", "--max-n", "1"): ("table",),
+    ("verify", "--max-n", "2"): ("table",),
 }
 
 

@@ -12,9 +12,7 @@ from catborel.dyck import (
     cell_count_formula,
     cell_min,
     cell_paths,
-    delete_first_peak,
     floor_gap_points,
-    insert_peak_after_rises,
     min_partner,
     path_leq,
     peaks_at_least,
@@ -166,38 +164,6 @@ def test_cell_paths_match_brute_filter():
         cell_paths(4, 5, 1)
     with pytest.raises(ValueError):
         cell_paths(4, 1, -1)
-
-
-def test_delete_and_insert_peak():
-    assert delete_first_peak(DyckPath("rrfrff")).word == "rrff"
-    assert insert_peak_after_rises(DyckPath("rrff"), 2).word == "rrfrff"
-    with pytest.raises(ValueError):
-        delete_first_peak(DyckPath("rf"))
-    with pytest.raises(ValueError):
-        insert_peak_after_rises(DyckPath("rf"), 3)
-
-
-def test_peak_maps_are_inverse_bijections():
-    rng = random.Random(23)
-    for n in range(2, 9):
-        paths = all_paths(n)
-        for _ in range(200):
-            p = rng.choice(paths)
-            i = p.first_peak
-            down = delete_first_peak(p)
-            assert down.semilength == n - 1
-            if len(p.peaks) > 1:
-                # the image lands in a cell (s, j) with s >= i - 1
-                assert down.last_peak == p.last_peak
-                assert down.first_peak >= i - 1
-            assert insert_peak_after_rises(down, i) == p
-        smaller = all_paths(n - 1)
-        for _ in range(200):
-            q = rng.choice(smaller)
-            i = rng.randint(1, q.first_peak + 1)
-            up = insert_peak_after_rises(q, i)
-            assert up.first_peak == i
-            assert delete_first_peak(up) == q
 
 
 def test_cell_min_is_least_member():

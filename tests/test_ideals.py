@@ -5,7 +5,6 @@ from catborel.dyck import DyckPath, all_paths, min_partner, path_leq, pyramid, s
 from catborel.ideals import (
     BasicIdeal,
     antichain_of,
-    b_count_cellsum,
     b_count_formula,
     basic_ideals,
     enumerate_basic,
@@ -20,7 +19,7 @@ from catborel.ideals import (
     minus_intervals,
     minus_path,
     nd_plus,
-    normalize_support,
+    partners,
     phi,
     plus_intervals,
     plus_path,
@@ -125,7 +124,8 @@ def test_dyck_pair_validation():
 def test_counts_three_ways():
     for n in range(1, 8):
         assert b_count_formula(n) == B_SEQUENCE[n - 1]
-        assert b_count_cellsum(n) == B_SEQUENCE[n - 1]
+        c = catalan_matrix(n)
+        assert dot(c, omega(c)) == B_SEQUENCE[n - 1]
         assert len(basic_ideals(n)) == B_SEQUENCE[n - 1]
     assert b_count_formula(10) == 584248
 
@@ -134,11 +134,6 @@ def test_b_count_formula_matches_matrix_product():
     for n in range(1, 41):
         c = catalan_matrix(n)
         assert b_count_formula(n) == dot(c, omega(c)), n
-
-
-def test_b_count_formula_matches_cellsum():
-    for n in range(1, 21):
-        assert b_count_formula(n) == b_count_cellsum(n), n
 
 
 def test_count_bounded_by_square_of_catalan():
@@ -304,11 +299,17 @@ def test_quasi_abelian_band_walk_oracle():
 
 
 def test_partners_dominate_min_partner():
-    """Admissibility alone puts q above min_partner(p), which is why the
-    quasi-abelian test only checks q <= p."""
+    """The partners of p are exactly the paths above min_partner(p).  One
+    direction is why the quasi-abelian test only checks q <= p; the other
+    lets the support enumeration read q' from the partner index."""
     for n in range(1, 10):
-        for b in enumerate_basic(n):
-            assert path_leq(min_partner(b.p), b.q), (b.p, b.q)
+        paths = all_paths(n)
+        above = {}  # min_partner(p) depends only on the two end peaks of p
+        for p in paths:
+            low = min_partner(p)
+            if low not in above:
+                above[low] = {q for q in paths if path_leq(low, q)}
+            assert set(partners(p)) == above[low], p
 
 
 def test_full_ideal_is_not_quasi_abelian():
@@ -342,34 +343,6 @@ def test_qnd_two_routes_and_bounds():
             if m == 0:
                 assert value == 1
             assert (value == 1) == is_quasi_abelian(b)
-
-
-def test_normalize_support():
-    for n in (2, 3):
-        for b in basic_ideals(n)[:10]:
-            for k in (0, 1, 2, 5):
-                items = [(w, k) for w in b.window_support()]
-                assert normalize_support(n, items) == b
-    # idempotence through a round trip
-    b = full_ideal(3)
-    once = normalize_support(3, [(w, 2) for w in b.window_support()])
-    again = normalize_support(3, [(w, 0) for w in once.window_support()])
-    assert once == again == b
-    # entries above the minimal shift belong to the tail and are allowed
-    items = [(w, 1) for w in b.window_support()] + [(delta_root(3), 4)]
-    assert normalize_support(3, items) == b
-
-
-def test_normalize_support_rejects_non_supports():
-    with pytest.raises(ValueError):
-        normalize_support(3, [])
-    # minimal layer without the imaginary root
-    with pytest.raises(ValueError):
-        normalize_support(3, [(WindowRoot((1, 0), 0), 2)])
-    # minimal layer that is not upward closed
-    items = [(WindowRoot((1, 0), 0), 1), (delta_root(3), 1)]
-    with pytest.raises(ValueError):
-        normalize_support(3, items)
 
 
 def test_truncation_oracle_accepts_all_basic_ideals():

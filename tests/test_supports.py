@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -7,7 +7,6 @@ from catborel.dyck import DyckPath, all_paths, pyramid, staircase
 from catborel.supports import (
     LevelledSupport,
     SupportQuadruple,
-    assemble_support,
     build_witness,
     check_layer_restrictions,
     class_record,
@@ -69,11 +68,24 @@ def test_enumeration_is_sorted_and_unique():
         assert len(set(words)) == len(words)
 
 
+def _classify_candidates(n):
+    """The full product of four paths for n <= 4.  Above that, only the
+    quadruples with p or q' the pyramid: when p is not the pyramid,
+    classify accepts shape IV alone, which requires q' to be the pyramid."""
+    paths = all_paths(n)
+    if n <= 4:
+        return product(paths, repeat=4)
+    top = pyramid(n)
+    return chain(
+        ((top, q, pp, qp) for q, pp, qp in product(paths, repeat=3)),
+        ((p, q, pp, top) for p, q, pp in product(paths, repeat=3) if p != top),
+    )
+
+
 def test_enumeration_matches_brute_force_classify():
-    for n in (2, 3, 4):
-        paths = all_paths(n)
+    for n in (2, 3, 4, 5):
         expected = {}
-        for p, q, pp, qp in product(paths, repeat=4):
+        for p, q, pp, qp in _classify_candidates(n):
             t = SupportQuadruple(n, p, q, pp, qp)
             case = classify(t)
             if case is not None:
@@ -176,19 +188,6 @@ def test_level_shift_round_trip():
         shift_level(ls, -1)
     with pytest.raises(ValueError):
         LevelledSupport(0, t)
-
-
-def test_assemble_support_shape():
-    t = quad(3, "rrrfff", "rfrfrf", "rfrfrf", "rrrfff")
-    ls = LevelledSupport(1, t)
-    asm = assemble_support(ls)
-    assert asm["imaginary"] == [1, 2]
-    assert asm["tail_from"] == 2
-    shifted = assemble_support(shift_level(ls, 2))
-    assert shifted["imaginary"] == [3, 4]
-    assert shifted["explicit"] == [
-        {**e, "shift": e["shift"] + 2} for e in asm["explicit"]
-    ]
 
 
 def test_layer_intervals_round_trip():
