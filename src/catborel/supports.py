@@ -59,7 +59,7 @@ class SupportQuadruple:
 
     def __post_init__(self) -> None:
         for path in (self.p, self.q, self.p_prime, self.q_prime):
-            if path.semilength != self.n:
+            if len(path.word) != 2 * self.n:
                 raise ValueError("all four paths must have semilength n")
 
     def words(self) -> tuple[str, str, str, str]:
@@ -86,31 +86,30 @@ def classify(t: SupportQuadruple) -> str | None:
     if n == 1:
         return "unique"
     top = pyramid(n)
-    bottom = staircase(n)
+    if t.p != top:
+        # the equality test is cheap and rejects most quadruples first
+        if (
+            t.q_prime == top
+            and path_leq(min_partner(t.p), t.q)
+            and floor_gap_points(t.q) | {2, 2 * n - 2} <= valley_xs_at_height(t.p_prime, 0)
+        ):
+            return "IV"
+        return None
     v0_prime = valley_xs_at_height(t.p_prime, 0)
-    if t.p == top and t.q == bottom:
+    if t.q == staircase(n):
         if len(v0_prime) == 1 and t.q_prime == top:
             return "I"
         if len(v0_prime) > 1 and path_leq(min_partner(t.p_prime), t.q_prime):
             return "II"
         return None
-    if t.p == top:
-        # here q != bottom
-        if not floor_gap_points(t.q) <= v0_prime:
-            return None
-        if not path_leq(min_partner(t.p_prime), t.q_prime):
-            return None
-        v0_q = valley_xs_at_height(t.q, 0)
-        if (2 not in v0_q or 2 * n - 2 not in v0_q) and t.q_prime != top:
-            return None
-        return "III"
-    if (
-        path_leq(min_partner(t.p), t.q)
-        and floor_gap_points(t.q) | {2, 2 * n - 2} <= v0_prime
-        and t.q_prime == top
-    ):
-        return "IV"
-    return None
+    if not floor_gap_points(t.q) <= v0_prime:
+        return None
+    if not path_leq(min_partner(t.p_prime), t.q_prime):
+        return None
+    v0_q = valley_xs_at_height(t.q, 0)
+    if (2 not in v0_q or 2 * n - 2 not in v0_q) and t.q_prime != top:
+        return None
+    return "III"
 
 
 def enumerate_classes(n: int) -> list[tuple[SupportQuadruple, str]]:

@@ -324,12 +324,15 @@ def suite_supports(max_n: int) -> list[Check]:
     return out
 
 
+# Below this the enumerating checks would examine only the trivial
+# semilength-1 ideal or nothing at all, and pass vacuously.
+MIN_MAX_N = 2
+
+
 def run_suites(names, max_n: int = 6, include_e78: bool = False) -> list[Check]:
-    """Run the named suites.  ``max_n`` must be at least 2: below that the
-    enumerating checks would examine only the trivial semilength-1 ideal
-    or nothing at all, and pass vacuously."""
-    if max_n < 2:
-        raise ValueError(f"max-n must be at least 2, got {max_n}")
+    """Run the named suites; ``max_n`` must be at least ``MIN_MAX_N``."""
+    if max_n < MIN_MAX_N:
+        raise ValueError(f"max-n must be at least {MIN_MAX_N}, got {max_n}")
     table = {
         "matrices": lambda: suite_matrices(max_n),
         "dyck": lambda: suite_dyck(max_n),

@@ -145,6 +145,66 @@ def test_enumerate_basic_table_lines():
     ]
 
 
+def _old_table_line(r):
+    return (
+        f"{r['p']} {r['q']} gens={r['generators']} qa={int(r['quasi_abelian'])} "
+        f"nd={r['nd_plus']} qnd={r['qnd']}"
+    )
+
+
+def _assert_same_lines(got, want):
+    # line by line, so that a failure diffs one line and not megabytes
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"line {k + 1}"
+    assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerate_basic_renders_like_stdlib(n, capsys):
+    """The hand-written record template gives the stdlib encoder's text,
+    and the table keeps its line format."""
+    records = [ideals.ideal_record(b) for b in ideals.enumerate_basic(n)]
+    assert cli.main(["enumerate-basic", "--n", str(n), "--format", "json"]) == 0
+    _assert_same_lines(capsys.readouterr().out, cli._json_dump(records))
+    assert cli.main(["enumerate-basic", "--n", str(n)]) == 0
+    _assert_same_lines(capsys.readouterr().out, "".join(_old_table_line(r) + "\n" for r in records))
+
+
+def test_enumerate_basic_empty_s_plus_record():
+    # p = rrff holds no degree-zero root, so s_plus prints as []
+    (b,) = [b for b in ideals.enumerate_basic(2) if (b.p.word, b.q.word) == ("rrff", "rrff")]
+    assert cli._record_json(ideals.ideal_record(b)) == (
+        "  {\n"
+        '    "generators": 1,\n'
+        '    "n": 2,\n'
+        '    "nd_plus": 0,\n'
+        '    "p": "rrff",\n'
+        '    "q": "rrff",\n'
+        '    "qnd": 1,\n'
+        '    "quasi_abelian": true,\n'
+        '    "s_minus": [\n'
+        "      [\n"
+        "        1,\n"
+        "        1\n"
+        "      ]\n"
+        "    ],\n"
+        '    "s_plus": []\n'
+        "  }"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_enumerate_basic_out_matches_stdout(fmt, tmp_path, capsys):
+    target = tmp_path / f"basic.{fmt}"
+    args = ["enumerate-basic", "--n", "5", "--format", fmt]
+    assert cli.main(args) == 0
+    stdout = capsys.readouterr().out
+    assert cli.main([*args, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == stdout.encode()
+
+
 def test_split_search_and_order_check():
     code, out, _ = run_cli("split-search", "--type", "F4")
     assert code == 0 and "0 violating splits" in out
@@ -212,15 +272,20 @@ def test_out_of_range_integers_exit_one(args):
     code, out, err = run_cli(*args)
     assert code == 1
     assert out == ""
-    assert "must be at least 1" in err
+    minimum = 2 if args[0] == "verify" else 1
+    assert f"must be at least {minimum}" in err
 
 
 def test_verify_below_two_exits_one():
-    # at max-n 1 every enumerating check would see nothing but n = 1
-    code, out, err = run_cli("verify", "--max-n", "1")
-    assert code == 1
-    assert out == ""
-    assert "must be at least 2" in err
+    # at max-n 1 every enumerating check would see nothing but n = 1;
+    # 0 and 1 are refused by the same parser check with the same message
+    for value in ("0", "1"):
+        code, out, err = run_cli("verify", "--max-n", value)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"catborel verify: error: argument --max-n: must be at least 2, got {value}"
+        )
 
 
 FORMATS = ("table", "json", "csv", "bfile")
