@@ -60,7 +60,8 @@ def _json_dump(obj) -> str:
 
 
 def _emit_sequence(values, args) -> None:
-    """(n, value) pairs as a b-file, a JSON sequence or a CSV table."""
+    """(n, value) pairs, read once, as a b-file, a JSON sequence or a CSV
+    table."""
     if args.format == "json":
         _emit(_json_dump({"sequence": [{"n": n, "value": v} for n, v in values]}), args.out)
     elif args.format == "csv":
@@ -100,7 +101,7 @@ def cmd_cells(args) -> int:
 
 
 def cmd_bn(args) -> int:
-    _emit_sequence([(n, ideals.b_count_formula(n)) for n in range(1, args.upto + 1)], args)
+    _emit_sequence(ideals.b_sequence(args.upto), args)
     return 0
 
 
@@ -152,7 +153,7 @@ def cmd_enumerate_basic(args) -> int:
 
 
 def cmd_quasi_abelian(args) -> int:
-    _emit_sequence([(n, ideals.quasi_abelian_count(n)) for n in range(1, args.upto + 1)], args)
+    _emit_sequence(ideals.quasi_abelian_sequence(args.upto), args)
     return 0
 
 
@@ -307,6 +308,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # b_n passes the default 4300-digit limit of int-to-text near n = 7140;
+    # interpreters older than the limit (before 3.10.7) have no setter
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

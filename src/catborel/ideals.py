@@ -22,11 +22,13 @@ arise this way are exactly those passing the peak-threshold test of
 (:func:`phi` reads it off) and derives each interval set once per path:
 ``s_plus`` from ``p`` alone, ``s_minus`` from ``q`` alone.
 
-On top of the encoding sit the counting formulas, the generator count,
-the quasi-abelian test, the quasi-nilpotency degree, and a matrix
-oracle (:func:`verify_basic_in_truncation`) that replays the ideal
-property with honest brackets in a truncated loop algebra, independent
-of all the interval bookkeeping above.
+On top of the encoding sit the counting formulas (the conjectural
+closed forms that the commands print, and the cell sums and transfer DP
+that check them), the generator count, the quasi-abelian test, the
+quasi-nilpotency degree, and a matrix oracle
+(:func:`verify_basic_in_truncation`) that replays the ideal property
+with honest brackets in a truncated loop algebra, independent of all
+the interval bookkeeping above.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dyck import DyckPath, all_paths, cell_count_rows, path_leq, peaks_at_least
+from .dyck import DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, peaks_at_least
 from .loopalgebra import (
     Span,
     TruncatedLoopAlgebra,
@@ -329,6 +331,41 @@ def enumerate_basic(n: int) -> list[BasicIdeal]:
     return [BasicIdeal(p, q) for p in all_paths(n) for q in partners(p)]
 
 
+def _central_binomials(upto: int):
+    """(n, C(2n, n), 4^n) for n = 1..upto, each term from the one before:
+    C(2n, n) = C(2n - 2, n - 1) * (4n - 2) / n, so no term calls
+    ``math.comb``."""
+    central, power = 1, 1
+    for n in range(1, upto + 1):
+        central = central * (4 * n - 2) // n
+        power <<= 2
+        yield n, central, power
+
+
+def b_sequence(upto: int):
+    """(n, b_n) for n = 1..upto by the closed form
+    b_n = ((n + 2) C(2n, n) - 4^n) / 2.
+
+    Conjectural: fitted to the cell sums of :func:`b_count_formula`, its
+    oracle, and checked against them and against an order-2 recurrence
+    in the tests, not proven.
+    """
+    for n, central, power in _central_binomials(upto):
+        yield n, ((n + 2) * central - power) // 2
+
+
+def quasi_abelian_sequence(upto: int):
+    """(n, q_n) for n = 1..upto by the closed form
+    q_n = ((2n + 8) C(2n, n) - 3 * 4^n) / 8.
+
+    Conjectural: fitted to the transfer DP :func:`quasi_abelian_count`,
+    its oracle, and checked against it and against an order-2
+    recurrence in the tests, not proven.
+    """
+    for n, central, power in _central_binomials(upto):
+        yield n, ((2 * n + 8) * central - 3 * power) // 8
+
+
 def b_count_formula(n: int) -> int:
     """Dot product of the cell-count matrix C(n) with its block-sum image
     omega(C(n)), in O(n^2) integer operations.
@@ -406,9 +443,51 @@ def is_quasi_abelian(b: BasicIdeal) -> bool:
 
 
 def quasi_abelian_count(n: int) -> int:
-    """Number of quasi-abelian basic ideals: admissible pairs with q <= p
-    (see :func:`is_quasi_abelian` for why that test suffices)."""
-    return sum(1 for p in all_paths(n) for q in partners(p) if path_leq(q, p))
+    """Number of quasi-abelian basic ideals, the admissible pairs with
+    q <= p (see :func:`is_quasi_abelian` for why that test suffices),
+    counted by a transfer DP that lists no path.
+
+    Every q lies below the pyramid and is admissible with it, which gives
+    C_n pairs.  Any other p has first and last peak heights c, d in
+    1..n-1, so it starts ``r^c f`` and ends ``r f^d``, and admissibility
+    says that q starts ``r^(n-d)`` and ends ``f^(n-c)``.  Below p's fall
+    at c + 1 such a q fits only when n - d <= c.  Per (c, d) the pairs
+    with 0 <= q <= p pointwise are walked step by step over the height
+    pair (h_p, h_q): O(n^5) integer steps in all.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    total = catalan_number(n)
+    for c in range(1, n):
+        for d in range(n - c, n):
+            total += _below_pairs(n, c, d)
+    return total
+
+
+def _below_pairs(n: int, c: int, d: int) -> int:
+    """Pairs q <= p with p in the cell (c, d), 1 <= c, d <= n - 1, q
+    starting with n - d rises and ending with n - c falls."""
+    top = 2 * n
+    pin_p = {x: x for x in range(c + 1)}
+    pin_p[c + 1] = c - 1
+    pin_p[top - d - 1] = d - 1
+    pin_p.update({x: top - x for x in range(top - d, top + 1)})
+    pin_q = {x: x for x in range(n - d + 1)}
+    pin_q.update({x: top - x for x in range(n + c, top + 1)})
+    ways = {(0, 0): 1}
+    for x in range(1, top + 1):
+        fp, fq = pin_p.get(x), pin_q.get(x)
+        nxt: dict[tuple[int, int], int] = {}
+        for (hp, hq), w in ways.items():
+            for hp2 in (hp - 1, hp + 1):
+                if hp2 < 0 or (fp is not None and hp2 != fp):
+                    continue
+                for hq2 in (hq - 1, hq + 1):
+                    if hq2 < 0 or hq2 > hp2 or (fq is not None and hq2 != fq):
+                        continue
+                    nxt[hp2, hq2] = nxt.get((hp2, hq2), 0) + w
+        ways = nxt
+    return ways.get((0, 0), 0)
 
 
 @lru_cache(maxsize=None)

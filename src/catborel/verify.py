@@ -73,11 +73,16 @@ def suite_matrices(max_n: int) -> list[Check]:
     )
     out.append(Check("matrices", "entry_sum_catalan", sums, f"n<={bound}"))
     b_ok = True
-    for n in range(1, 11):
+    for n, closed in ideals.b_sequence(10):
         c = cm[n]
-        values = (ideals.b_count_formula(n), matrices.dot(c, matrices.omega(c)))
-        b_ok = b_ok and values == (B_SEQUENCE[n - 1],) * 2
-    out.append(Check("matrices", "b_formulas_pinned", b_ok, "n<=10 closed form, dot(C, omega(C))"))
+        values = (closed, ideals.b_count_formula(n), matrices.dot(c, matrices.omega(c)))
+        b_ok = b_ok and values == (B_SEQUENCE[n - 1],) * 3
+    out.append(
+        Check(
+            "matrices", "b_formulas_pinned", b_ok,
+            "n<=10 conjectural closed form, cell sums, dot(C, omega(C))",
+        )
+    )
     return out
 
 
@@ -213,11 +218,17 @@ def suite_ideals(max_n: int) -> list[Check]:
     out.append(Check("ideals", "generator_count_two_ways", gen_ok, f"n<={bound7}"))
 
     qa_bound = min(max_n, 8)
-    qa_ok = all(
+    qa_closed = [v for _, v in ideals.quasi_abelian_sequence(len(QUASI_ABELIAN_SEQUENCE))]
+    qa_ok = qa_closed == QUASI_ABELIAN_SEQUENCE and all(
         ideals.quasi_abelian_count(n) == QUASI_ABELIAN_SEQUENCE[n - 1]
         for n in range(1, qa_bound + 1)
     )
-    out.append(Check("ideals", "quasi_abelian_pinned", qa_ok, f"n<={qa_bound}"))
+    out.append(
+        Check(
+            "ideals", "quasi_abelian_pinned", qa_ok,
+            f"conjectural closed form n<={len(QUASI_ABELIAN_SEQUENCE)}, transfer DP n<={qa_bound}",
+        )
+    )
 
     bound5 = min(max_n, 5)
     qa_oracle = all(

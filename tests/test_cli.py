@@ -40,6 +40,15 @@ def test_bn_bfile_format():
     assert all(line == line.rstrip() for line in body)
 
 
+def test_bn_past_the_int_to_text_digit_limit():
+    # a fresh interpreter refuses to print an int of more than 4300 digits
+    # unless the command lifts the limit; b_n passes it near n = 7140
+    code, out, err = run_cli("bn", "--upto", "7200")
+    assert code == 0, err
+    n, value = out.splitlines()[-1].split()
+    assert n == "7200" and len(value) > 4300
+
+
 def test_cells_listing_and_counts():
     code, out, _ = run_cli("cells", "--n", "4", "--i", "1", "--j", "1")
     assert code == 0
@@ -331,10 +340,11 @@ def test_supported_format_exits_zero(args, capsys):
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
-    def broken(n):
+    def broken(upto):
+        yield 1, 1
         raise KeyError("lost entry")
 
-    monkeypatch.setattr(ideals, "b_count_formula", broken)
+    monkeypatch.setattr(ideals, "b_sequence", broken)
     assert cli.main(["bn", "--upto", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from catborel import rootsys
@@ -6,6 +8,7 @@ from catborel.ideals import (
     BasicIdeal,
     antichain_of,
     b_count_formula,
+    b_sequence,
     basic_ideals,
     enumerate_basic,
     from_antichain,
@@ -26,6 +29,7 @@ from catborel.ideals import (
     qnd_direct,
     qnd_from_plus_degree,
     quasi_abelian_count,
+    quasi_abelian_sequence,
     span_is_stable,
     verify_basic_in_truncation,
 )
@@ -134,6 +138,37 @@ def test_b_count_formula_matches_matrix_product():
     for n in range(1, 41):
         c = catalan_matrix(n)
         assert b_count_formula(n) == dot(c, omega(c)), n
+
+
+def test_b_closed_form_matches_cell_sums():
+    assert [b for _, b in b_sequence(80)] == [b_count_formula(n) for n in range(1, 81)]
+
+
+def test_sequences_match_closed_forms_recomputed_per_term():
+    """The incremental generators against each closed form evaluated
+    afresh with ``math.comb``; the divisions must be exact."""
+    upto = 300
+    b_expect, q_expect = [], []
+    for n in range(1, upto + 1):
+        central, power = math.comb(2 * n, n), 4**n
+        b2, q8 = (n + 2) * central - power, (2 * n + 8) * central - 3 * power
+        assert b2 % 2 == 0 and q8 % 8 == 0, n
+        b_expect.append((n, b2 // 2))
+        q_expect.append((n, q8 // 8))
+    assert list(b_sequence(upto)) == b_expect
+    assert list(quasi_abelian_sequence(upto)) == q_expect
+
+
+def test_closed_forms_satisfy_order_two_recurrences():
+    b = dict(b_sequence(500))
+    q = dict(quasi_abelian_sequence(500))
+    for n in range(3, 501):
+        assert n * (n - 3) * b[n] == (
+            2 * (4 * n * n - 13 * n + 6) * b[n - 1] - 8 * (2 * n - 3) * (n - 2) * b[n - 2]
+        ), n
+        assert n * (n - 5) * q[n] == (
+            2 * (4 * n * n - 21 * n + 12) * q[n - 1] - 8 * (2 * n - 3) * (n - 4) * q[n - 2]
+        ), n
 
 
 def test_count_bounded_by_square_of_catalan():
@@ -269,6 +304,17 @@ def test_quasi_abelian_counts():
     assert [quasi_abelian_count(n) for n in range(1, 7)] == expected
 
 
+def test_quasi_abelian_dp_counts_the_enumerated_ideals():
+    for n in range(1, 8):
+        assert quasi_abelian_count(n) == sum(is_quasi_abelian(b) for b in basic_ideals(n)), n
+
+
+def test_quasi_abelian_closed_form_matches_dp():
+    assert [q for _, q in quasi_abelian_sequence(16)] == [
+        quasi_abelian_count(n) for n in range(1, 17)
+    ]
+
+
 def _qa_count_band_walk(n):
     """Independent count of pairs min_partner(p) <= q <= p: a height-band
     walk DP per p, never iterating candidate partners."""
@@ -291,11 +337,11 @@ def _qa_count_band_walk(n):
 
 
 def test_quasi_abelian_band_walk_oracle():
-    for n in range(1, 8):
-        assert _qa_count_band_walk(n) == quasi_abelian_count(n)
-    # the walk extends the sequence cheaply past the pair iteration
-    assert _qa_count_band_walk(9) == 59711
-    assert _qa_count_band_walk(10) == 253430
+    closed = dict(quasi_abelian_sequence(10))
+    for n in range(1, 11):
+        assert _qa_count_band_walk(n) == closed[n], n
+    assert closed[9] == 59711
+    assert closed[10] == 253430
 
 
 def test_partners_dominate_min_partner():

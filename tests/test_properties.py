@@ -1,19 +1,30 @@
-"""Property tests at semilengths 9..20, beyond exhaustive enumeration.
+"""Property tests at semilengths 9..20, beyond exhaustive enumeration,
+and of the support classification at 5..7, beyond its full product scan.
 
-Paths are drawn step by step, so no test here calls ``all_paths``.
-Where a test generates a whole cell, examples whose cell holds more than
-2000 paths are skipped, which keeps each example cheap.  ``min_partner``
-builds no cell, so its test takes every example.
+Paths are drawn step by step, so only the classification test, which
+varies one slot over every path of semilength at most 7, calls
+``all_paths``.  Where a test generates a whole cell, examples whose cell
+holds more than 2000 paths are skipped, which keeps each example cheap.
+``min_partner`` builds no cell, so its test takes every example.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from catborel.dyck import DyckPath, cell_count, cell_paths, min_partner, path_leq, staircase
+from catborel.dyck import (
+    DyckPath,
+    all_paths,
+    cell_count,
+    cell_paths,
+    min_partner,
+    path_leq,
+    staircase,
+)
 from catborel.loopalgebra import Span, TruncatedLoopAlgebra
 from catborel.matrices import matrix, tau
 from catborel.ideals import (
@@ -24,6 +35,7 @@ from catborel.ideals import (
     qnd_direct,
     qnd_from_plus_degree,
 )
+from catborel.supports import SupportQuadruple, classify, enumerate_classes
 from test_ideals import fresh_nd_plus
 
 
@@ -113,6 +125,41 @@ def test_generated_cell_has_its_peaks_and_size(cell):
 def test_admissible_partner_dominates_min_partner(pair):
     p, q = pair
     assert path_leq(min_partner(p), q)
+
+
+@cache
+def listed_classes(n):
+    """enumerate_classes(n) as the members of each case, and as a map
+    from words to case."""
+    by_case = {}
+    for t, case in enumerate_classes(n):
+        by_case.setdefault(case, []).append(t)
+    cases = {t.words(): case for case, ts in by_case.items() for t in ts}
+    return tuple(tuple(ts) for ts in by_case.values()), cases
+
+
+@st.composite
+def base_quadruples(draw, n):
+    """A listed member of a uniformly drawn case (case IV alone is most
+    members), or four random paths."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(draw(st.sampled_from(listed_classes(n)[0]))))
+    return SupportQuadruple(n, *(DyckPath(draw(dyck_words(n))) for _ in range(4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(5, 7).flatmap(lambda n: st.tuples(base_quadruples(n), st.integers(0, 3))))
+def test_classify_accepts_exactly_the_listed_classes(drawn):
+    """Every quadruple that differs from the drawn one at most in the
+    drawn slot: classify accepts the listed ones with their case and
+    rejects the rest."""
+    t, slot = drawn
+    cases = listed_classes(t.n)[1]
+    paths = [t.p, t.q, t.p_prime, t.q_prime]
+    for path in all_paths(t.n):
+        paths[slot] = path
+        u = SupportQuadruple(t.n, *paths)
+        assert classify(u) == cases.get(u.words()), u.words()
 
 
 def fraction_rank(vectors):
