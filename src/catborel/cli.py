@@ -10,11 +10,11 @@ with Python integers, so in practice this code flags invariant breaches).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 
-from . import dyck, ideals, matrices, rootsys, supports, verify
+# Each command imports the modules it runs when it runs, so that start-up
+# loads only those: ``bn`` needs no Dyck path and no root system.
 
 USAGE_EXIT = 1
 VERIFY_EXIT = 2
@@ -33,8 +33,11 @@ def _bfile(pairs) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -52,10 +55,14 @@ def positive_int(text: str) -> int:
 
 def max_n_int(text: str) -> int:
     """``verify --max-n``, refused below ``verify.MIN_MAX_N`` with one message."""
+    from . import verify
+
     return _int_at_least(text, verify.MIN_MAX_N)
 
 
 def _json_dump(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -70,8 +77,11 @@ def _emit_sequence(values, args) -> None:
         _emit(_bfile(values), args.out)
 
 
-def _emit_matrix(key: str, m: matrices.ExactMatrix, args) -> None:
+def _emit_matrix(key: str, rows: list[list[int]], args) -> None:
     """A square matrix as an aligned table, CSV rows, or JSON under ``key``."""
+    from . import matrices
+
+    m = matrices.matrix(rows)
     if args.format == "json":
         _emit(_json_dump({"n": args.n, key: m.rows()}), args.out)
     elif args.format == "csv":
@@ -81,11 +91,15 @@ def _emit_matrix(key: str, m: matrices.ExactMatrix, args) -> None:
 
 
 def cmd_catalan_matrix(args) -> int:
-    _emit_matrix("entries", matrices.matrix(dyck.cell_count_rows(args.n)), args)
+    from . import dyck
+
+    _emit_matrix("entries", dyck.cell_count_rows(args.n), args)
     return 0
 
 
 def cmd_cells(args) -> int:
+    from . import dyck
+
     n = args.n
     if args.i is not None or args.j is not None:
         if args.i is None or args.j is None:
@@ -96,12 +110,14 @@ def cmd_cells(args) -> int:
         else:
             _emit("".join(w + "\n" for w in words), args.out)
         return 0
-    _emit_matrix("counts", matrices.matrix(dyck.cell_count_rows(n)), args)
+    _emit_matrix("counts", dyck.cell_count_rows(n), args)
     return 0
 
 
 def cmd_bn(args) -> int:
-    _emit_sequence(ideals.b_sequence(args.upto), args)
+    from . import sequences
+
+    _emit_sequence(sequences.b_sequence(args.upto), args)
     return 0
 
 
@@ -144,6 +160,8 @@ def cmd_enumerate_basic(args) -> int:
     # outlives its line, and the JSON skips the stdlib's pure-Python
     # indent encoder.  The text is written in one call: 1 MB block writes
     # read a higher peak RSS in perfbench, whose reading includes its own.
+    from . import ideals
+
     records = (ideals.ideal_record(b) for b in ideals.enumerate_basic(args.n))
     if args.format == "json":
         _emit("[\n" + ",\n".join(map(_record_json, records)) + "\n]\n", args.out)
@@ -153,11 +171,15 @@ def cmd_enumerate_basic(args) -> int:
 
 
 def cmd_quasi_abelian(args) -> int:
-    _emit_sequence(ideals.quasi_abelian_sequence(args.upto), args)
+    from . import sequences
+
+    _emit_sequence(sequences.quasi_abelian_sequence(args.upto), args)
     return 0
 
 
 def cmd_qnd_histogram(args) -> int:
+    from . import ideals
+
     hist = Counter(ideals.qnd_from_plus_degree(b) for b in ideals.basic_ideals(args.n))
     pairs = sorted(hist.items())
     if args.format == "json":
@@ -168,6 +190,8 @@ def cmd_qnd_histogram(args) -> int:
 
 
 def cmd_support_classes(args) -> int:
+    from . import supports
+
     classes = supports.enumerate_classes(args.n)
     if args.format == "json":
         records = [supports.class_record(t, case, args.level) for t, case in classes]
@@ -189,6 +213,8 @@ def cmd_support_classes(args) -> int:
 
 
 def cmd_split_search(args) -> int:
+    from . import rootsys
+
     rs = rootsys.build_root_system(args.type)
     hits = rootsys.highest_root_split_search(rs)
     payload = {
@@ -204,6 +230,8 @@ def cmd_split_search(args) -> int:
 
 
 def cmd_order_check(args) -> int:
+    from . import rootsys
+
     poset = rootsys.window(rootsys.build_root_system(args.type))
     same = rootsys.orders_coincide(poset)
     if args.format == "json":
@@ -224,6 +252,8 @@ def cmd_order_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     names = verify.SUITES if args.suite == "all" else (args.suite,)
     checks = verify.run_suites(names, max_n=args.max_n, include_e78=args.include_e78)
     lines = [
@@ -300,7 +330,9 @@ def build_parser() -> _Parser:
     p.add_argument("--type", required=True, metavar="LABEL")
 
     p = add("verify", cmd_verify, ("table",), help="run the self-verification suites")
-    p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
+    # no choices: verify.run_suites refuses an unknown suite, and listing the
+    # suites here would import verify at every start-up
+    p.add_argument("--suite", default="all", metavar="NAME", help="one suite, or all")
     p.add_argument("--max-n", type=max_n_int, default=6, dest="max_n")
     p.add_argument("--include-e78", action="store_true", dest="include_e78")
 

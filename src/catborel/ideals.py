@@ -22,29 +22,28 @@ arise this way are exactly those passing the peak-threshold test of
 (:func:`phi` reads it off) and derives each interval set once per path:
 ``s_plus`` from ``p`` alone, ``s_minus`` from ``q`` alone.
 
-On top of the encoding sit the counting formulas (the conjectural
-closed forms that the commands print, and the cell sums and transfer DP
-that check them), the generator count, the quasi-abelian test, the
-quasi-nilpotency degree, and a matrix oracle
+On top of the encoding sit the counting formulas (the cell sums and
+the transfer DP that check the conjectural closed forms of
+:mod:`catborel.sequences`), the generator count, the quasi-abelian
+test, the quasi-nilpotency degree, and a matrix oracle
 (:func:`verify_basic_in_truncation`) that replays the ideal property
 with honest brackets in a truncated loop algebra, independent of all
-the interval bookkeeping above.
+the interval bookkeeping above.  The window and bracket code is imported
+inside the few functions that use it, so enumerating and counting
+ideals does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .dyck import DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, peaks_at_least
-from .loopalgebra import (
-    Span,
-    TruncatedLoopAlgebra,
-    borel_generators,
-    cartan_basis,
-    stable_under,
-)
-from .rootsys import WindowRoot
+
+if TYPE_CHECKING:
+    from .loopalgebra import Span
+    from .rootsys import WindowRoot
 
 Interval = tuple[int, int]
 
@@ -130,6 +129,8 @@ class BasicIdeal:
 
     def window_support(self) -> frozenset[WindowRoot]:
         """The support inside the window, imaginary root included."""
+        from .rootsys import WindowRoot
+
         out = {WindowRoot(_coords(self.n, iv), 0) for iv in self.s_plus}
         out.add(WindowRoot(tuple(0 for _ in range(self.n - 1)), 1))
         out |= {
@@ -286,6 +287,8 @@ def from_antichain(n: int, antichain) -> BasicIdeal:
 
 def antichain_of(b: BasicIdeal) -> frozenset[WindowRoot]:
     """Minimal window-support elements; inverse of :func:`from_antichain`."""
+    from .rootsys import WindowRoot
+
     entries = [("pos", iv) for iv in sorted(b.s_plus)] + [
         ("neg", iv) for iv in sorted(b.s_minus)
     ]
@@ -329,41 +332,6 @@ def partners(p: DyckPath) -> tuple[DyckPath, ...]:
 def enumerate_basic(n: int) -> list[BasicIdeal]:
     """All basic ideals, ordered by the word pair of their Dyck encoding."""
     return [BasicIdeal(p, q) for p in all_paths(n) for q in partners(p)]
-
-
-def _central_binomials(upto: int):
-    """(n, C(2n, n), 4^n) for n = 1..upto, each term from the one before:
-    C(2n, n) = C(2n - 2, n - 1) * (4n - 2) / n, so no term calls
-    ``math.comb``."""
-    central, power = 1, 1
-    for n in range(1, upto + 1):
-        central = central * (4 * n - 2) // n
-        power <<= 2
-        yield n, central, power
-
-
-def b_sequence(upto: int):
-    """(n, b_n) for n = 1..upto by the closed form
-    b_n = ((n + 2) C(2n, n) - 4^n) / 2.
-
-    Conjectural: fitted to the cell sums of :func:`b_count_formula`, its
-    oracle, and checked against them and against an order-2 recurrence
-    in the tests, not proven.
-    """
-    for n, central, power in _central_binomials(upto):
-        yield n, ((n + 2) * central - power) // 2
-
-
-def quasi_abelian_sequence(upto: int):
-    """(n, q_n) for n = 1..upto by the closed form
-    q_n = ((2n + 8) C(2n, n) - 3 * 4^n) / 8.
-
-    Conjectural: fitted to the transfer DP :func:`quasi_abelian_count`,
-    its oracle, and checked against it and against an order-2
-    recurrence in the tests, not proven.
-    """
-    for n, central, power in _central_binomials(upto):
-        yield n, ((2 * n + 8) * central - 3 * power) // 8
 
 
 def b_count_formula(n: int) -> int:
@@ -571,6 +539,8 @@ def support_span(n: int, s_plus, s_minus, include_delta: bool = True) -> Span:
     """The candidate span of two interval sets in the two-degree quotient:
     unit matrices for the real roots, and the full Cartan at degree one
     for delta."""
+    from .loopalgebra import Span, TruncatedLoopAlgebra, cartan_basis
+
     units = {(0, i, j + 1) for i, j in s_plus} | {(1, j + 1, i) for i, j in s_minus}
     diag = {1: cartan_basis(n)} if include_delta else {}
     return Span(TruncatedLoopAlgebra(n, ("upper", "lower_diag")), frozenset(units), diag)
@@ -585,6 +555,8 @@ def verify_basic_in_truncation(b: BasicIdeal) -> bool:
 def span_is_stable(n: int, s_plus, s_minus, include_delta: bool = True) -> bool:
     """Stability check for an arbitrary candidate span, without the closure
     validation of :class:`BasicIdeal`; used for negative controls."""
+    from .loopalgebra import borel_generators, stable_under
+
     span = support_span(n, s_plus, s_minus, include_delta)
     return stable_under(span, borel_generators(span.algebra))
 

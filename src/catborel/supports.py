@@ -22,6 +22,7 @@ then checked with honest matrix brackets by ``verify_witness``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .dyck import (
     DyckPath,
@@ -34,15 +35,9 @@ from .dyck import (
     valley_xs_at_height,
 )
 from .ideals import Interval, minus_intervals, partners, plus_intervals
-from .loopalgebra import (
-    Span,
-    TruncatedLoopAlgebra,
-    borel_generators,
-    cartan_basis,
-    coroot_vector,
-    dual_basis_vector,
-    stable_under,
-)
+
+if TYPE_CHECKING:
+    from .loopalgebra import Span, TruncatedLoopAlgebra
 
 CASES = ("I", "II", "III", "IV")
 
@@ -213,9 +208,14 @@ def _corner_path(n: int) -> DyckPath:
 
 # ---------------------------------------------------------------------------
 # witnesses in the three-degree truncation
+#
+# The bracket code is imported inside these functions, so that listing and
+# classifying quadruples does not load it.
 
 
 def _witness_algebra(n: int) -> TruncatedLoopAlgebra:
+    from .loopalgebra import TruncatedLoopAlgebra
+
     return TruncatedLoopAlgebra(n, ("upper", "full", "lower_diag"))
 
 
@@ -237,6 +237,8 @@ def build_witness(t: SupportQuadruple) -> Span:
     leading layers for shape IV.  Degree two always carries the full
     Cartan.
     """
+    from .loopalgebra import Span, cartan_basis, coroot_vector, dual_basis_vector
+
     case = classify(t)
     if case is None:
         raise ValueError("quadruple is not accepted; no witness exists")
@@ -267,6 +269,8 @@ def build_witness(t: SupportQuadruple) -> Span:
 def verify_witness(t: SupportQuadruple) -> bool:
     """Check with matrix brackets that the witness span is stable under
     the Borel generators in the three-degree truncation."""
+    from .loopalgebra import borel_generators, stable_under
+
     span = build_witness(t)
     if t.n == 1:
         return True
@@ -277,6 +281,8 @@ def assemble_naive_span(t: SupportQuadruple) -> Span:
     """The layers of a quadruple taken at face value, with full imaginary
     components at both degrees; no acceptance filtering.  Used as the
     negative-control span for rejected quadruples."""
+    from .loopalgebra import Span, cartan_basis
+
     n = t.n
     alg = _witness_algebra(n)
     units = _layer_units(layer_intervals(t))
@@ -284,6 +290,8 @@ def assemble_naive_span(t: SupportQuadruple) -> Span:
 
 
 def naive_span_is_stable(t: SupportQuadruple) -> bool:
+    from .loopalgebra import borel_generators, stable_under
+
     if t.n == 1:
         return True
     span = assemble_naive_span(t)

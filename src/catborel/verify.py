@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import dyck, ideals, matrices, rootsys, supports
+from . import dyck, ideals, matrices, rootsys, sequences, supports
 
 B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
 QUASI_ABELIAN_SEQUENCE = [1, 3, 11, 44, 183, 774, 3294, 14034]
@@ -73,7 +73,7 @@ def suite_matrices(max_n: int) -> list[Check]:
     )
     out.append(Check("matrices", "entry_sum_catalan", sums, f"n<={bound}"))
     b_ok = True
-    for n, closed in ideals.b_sequence(10):
+    for n, closed in sequences.b_sequence(10):
         c = cm[n]
         values = (closed, ideals.b_count_formula(n), matrices.dot(c, matrices.omega(c)))
         b_ok = b_ok and values == (B_SEQUENCE[n - 1],) * 3
@@ -218,7 +218,7 @@ def suite_ideals(max_n: int) -> list[Check]:
     out.append(Check("ideals", "generator_count_two_ways", gen_ok, f"n<={bound7}"))
 
     qa_bound = min(max_n, 8)
-    qa_closed = [v for _, v in ideals.quasi_abelian_sequence(len(QUASI_ABELIAN_SEQUENCE))]
+    qa_closed = [v for _, v in sequences.quasi_abelian_sequence(len(QUASI_ABELIAN_SEQUENCE))]
     qa_ok = qa_closed == QUASI_ABELIAN_SEQUENCE and all(
         ideals.quasi_abelian_count(n) == QUASI_ABELIAN_SEQUENCE[n - 1]
         for n in range(1, qa_bound + 1)

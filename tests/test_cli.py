@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from catborel import cli, dyck, ideals, matrices
+from catborel import cli, dyck, ideals, matrices, sequences
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -250,6 +251,24 @@ def test_out_flag_writes_file(tmp_path):
     assert target.read_text() == "1 1\n2 4\n3 18\n"
 
 
+@pytest.mark.parametrize("target", ["missing/seq.txt", "."])
+def test_out_path_that_cannot_be_written_exits_one(target, tmp_path):
+    # a missing directory and a directory: one error line, no traceback
+    path = tmp_path / target
+    code, out, err = run_cli("bn", "--upto", "3", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"catborel: error: cannot write {path}: ")
+
+
+def test_verify_unknown_suite_exits_one():
+    code, out, err = run_cli("verify", "--suite", "bogus", "--max-n", "2")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == "catborel: error: unknown suite 'bogus'"
+
+
 def test_threads_flag_does_not_change_output():
     # --threads is gone: output is fixed by the other flags, the flag is refused
     first = run_cli("enumerate-basic", "--n", "4", "--format", "json")
@@ -344,8 +363,59 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
         yield 1, 1
         raise KeyError("lost entry")
 
-    monkeypatch.setattr(ideals, "b_sequence", broken)
+    monkeypatch.setattr(sequences, "b_sequence", broken)
     assert cli.main(["bn", "--upto", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal failure" in captured.err
+
+
+# Runs cli.main on its arguments with stdout discarded (or only imports the
+# CLI when given none), then reports what the run imported.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from catborel import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(sys.argv[1:])
+print(repr((
+    sorted(m for m in sys.modules if m.partition(".")[0] == "catborel"),
+    "dataclasses" in sys.modules,
+    "json" in sys.modules,
+)))
+"""
+
+
+def loaded_by(*args):
+    """The catborel modules a fresh interpreter has loaded after running
+    one command, and whether it loaded dataclasses and json."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *args],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        check=True,
+    )
+    modules, with_dataclasses, with_json = ast.literal_eval(proc.stdout)
+    return {m.removeprefix("catborel.") for m in modules} - {"catborel"}, with_dataclasses, with_json
+
+
+# per command, the catborel modules it may load and whether it loads
+# dataclasses; none of these formats needs json
+IMPORTS = {
+    (): ({"cli"}, False),
+    ("bn", "--upto", "3"): ({"cli", "sequences"}, False),
+    ("quasi-abelian", "--upto", "3"): ({"cli", "sequences"}, False),
+    ("cells", "--n", "4", "--i", "2", "--j", "2"): ({"cli", "dyck"}, True),
+    ("split-search", "--type", "A2"): ({"cli", "rootsys"}, True),
+    ("order-check", "--type", "A2"): ({"cli", "rootsys"}, True),
+    ("enumerate-basic", "--n", "3"): ({"cli", "dyck", "ideals"}, True),
+    ("qnd-histogram", "--n", "3"): ({"cli", "dyck", "ideals"}, True),
+}
+
+
+@pytest.mark.parametrize("args", IMPORTS, ids=lambda args: " ".join(args) or "import")
+def test_command_imports_only_what_it_runs(args):
+    # start-up is most of the cost of the cheap commands
+    modules, with_dataclasses = IMPORTS[args]
+    assert loaded_by(*args) == (modules, with_dataclasses, False)

@@ -8,7 +8,6 @@ from catborel.ideals import (
     BasicIdeal,
     antichain_of,
     b_count_formula,
-    b_sequence,
     basic_ideals,
     enumerate_basic,
     from_antichain,
@@ -29,12 +28,12 @@ from catborel.ideals import (
     qnd_direct,
     qnd_from_plus_degree,
     quasi_abelian_count,
-    quasi_abelian_sequence,
     span_is_stable,
     verify_basic_in_truncation,
 )
 from catborel.matrices import catalan_matrix, dot, omega
 from catborel.rootsys import WindowRoot
+from catborel.sequences import b_sequence, quasi_abelian_sequence
 
 B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
 
