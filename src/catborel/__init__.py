@@ -5,6 +5,7 @@ The package is pure Python over arbitrary-precision integers.  Modules:
 
 * :mod:`catborel.sequences` - the basic-ideal and quasi-abelian counts
   of type A from their closed forms;
+* :mod:`catborel.frozen` - the immutable base of the value classes;
 * :mod:`catborel.matrices` - the cell-count matrix family and its two
   summation operators;
 * :mod:`catborel.dyck` - Dyck paths, peak/valley statistics, cells,

@@ -104,6 +104,9 @@ def cmd_cells(args) -> int:
     if args.i is not None or args.j is not None:
         if args.i is None or args.j is None:
             raise ValueError("--i and --j must be given together")
+        # the library's empty index-0 cells are a convention, not a cell to ask for
+        if not (1 <= args.i <= n and 1 <= args.j <= n):
+            raise ValueError(f"--i and --j must lie in 1..{n}, got {args.i} and {args.j}")
         words = [p.word for p in dyck.cell_paths(n, args.i, args.j)]
         if args.format == "json":
             _emit(_json_dump({"n": n, "i": args.i, "j": args.j, "paths": words}), args.out)

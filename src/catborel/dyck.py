@@ -25,30 +25,47 @@ enumeration in this module deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+
+from .frozen import Frozen
 
 RISE = "r"
 FALL = "f"
 
 
-@dataclass(frozen=True)
-class DyckPath:
-    word: str
+class DyckPath(Frozen):
+    """A Dyck path, equal to and hashed as its word alone."""
 
-    def __post_init__(self) -> None:
-        bad = set(self.word) - {RISE, FALL}
+    # __dict__ holds the cached_property statistics
+    __slots__ = ("word", "__dict__")
+
+    def __init__(self, word: str) -> None:
+        bad = set(word) - {RISE, FALL}
         if bad:
             raise ValueError(f"invalid step characters: {sorted(bad)!r}")
-        if len(self.word) == 0 or len(self.word) % 2 != 0:
+        if len(word) == 0 or len(word) % 2 != 0:
             raise ValueError("word length must be a positive even number")
         height = 0
-        for pos, step in enumerate(self.word, start=1):
+        for pos, step in enumerate(word, start=1):
             height += 1 if step == RISE else -1
             if height < 0:
                 raise ValueError(f"prefix of length {pos} has more falls than rises")
         if height != 0:
             raise ValueError("word must contain equally many rises and falls")
+        object.__setattr__(self, "word", word)
+
+    def _fields(self) -> tuple:
+        return (self.word,)
+
+    # the base methods, without building a tuple: paths are hashed and
+    # compared in every cache lookup and classification
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self):
+        return hash(self.word)
 
     def __str__(self) -> str:
         return self.word

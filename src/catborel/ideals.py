@@ -35,11 +35,11 @@ ideals does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .dyck import DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, peaks_at_least
+from .frozen import Frozen
 
 if TYPE_CHECKING:
     from .loopalgebra import Span
@@ -87,16 +87,17 @@ def _difference_root(mu: Interval, alpha: Interval) -> Interval | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class BasicIdeal:
+class BasicIdeal(Frozen):
     """A basic ideal, stored as its admissible Dyck pair (p, q)."""
 
-    p: DyckPath
-    q: DyckPath
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if not is_admissible(self.p, self.q):
-            raise ValueError(f"pair ({self.p}, {self.q}) is not admissible")
+    def __init__(self, p: DyckPath, q: DyckPath) -> None:
+        if not is_admissible(p, q):
+            raise ValueError(f"pair ({p}, {q}) is not admissible")
+        set_ = object.__setattr__
+        set_(self, "p", p)
+        set_(self, "q", q)
 
     @classmethod
     def from_intervals(cls, n: int, s_plus, s_minus) -> "BasicIdeal":

@@ -22,8 +22,9 @@ fraction-free in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
+
+from .frozen import Frozen
 
 Element = dict[tuple[int, int, int], int]
 DiagVector = tuple[int, ...]
@@ -31,31 +32,32 @@ DiagVector = tuple[int, ...]
 _MASKS = ("upper", "lower_diag", "full")
 
 
-@dataclass(frozen=True)
-class TruncatedLoopAlgebra:
-    n: int
-    masks: tuple[str, ...]
+class TruncatedLoopAlgebra(Frozen):
+    """Equal by ``n`` and ``masks``; ``kept`` holds every (degree, row,
+    col) position that the masks keep, built once."""
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    __slots__ = ("n", "masks", "kept")
+
+    def __init__(self, n: int, masks: tuple[str, ...]) -> None:
+        if n < 1:
             raise ValueError("n must be at least 1")
-        for m in self.masks:
+        for m in masks:
             if m not in _MASKS:
                 raise ValueError(f"unknown mask {m!r}")
+        kept = frozenset(
+            (deg, i, j)
+            for deg, mask in enumerate(masks)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if mask == "full" or (i < j if mask == "upper" else i >= j)
+        )
+        set_ = object.__setattr__
+        set_(self, "n", n)
+        set_(self, "masks", masks)
+        set_(self, "kept", kept)
 
-    @property
-    def degrees(self) -> int:
-        return len(self.masks)
-
-    def keeps(self, deg: int, i: int, j: int) -> bool:
-        if not (0 <= deg < self.degrees):
-            return False
-        mask = self.masks[deg]
-        if mask == "upper":
-            return i < j
-        if mask == "lower_diag":
-            return i >= j
-        return True
+    def _fields(self) -> tuple:
+        return (self.n, self.masks)
 
     def diagonal(self, deg: int, vec: DiagVector) -> Element:
         if len(vec) != self.n:
@@ -67,14 +69,16 @@ class TruncatedLoopAlgebra:
         return {(deg, i, i): c for i, c in enumerate(vec, start=1) if c != 0}
 
     def project(self, elem: Element) -> Element:
-        return {k: v for k, v in elem.items() if v != 0 and self.keeps(*k)}
+        kept = self.kept
+        return {k: v for k, v in elem.items() if v != 0 and k in kept}
 
     def bracket(self, x: Element, y: Element) -> Element:
+        degrees = len(self.masks)
         out: Element = {}
         for (d1, a, b), c1 in x.items():
             for (d2, c, d), c2 in y.items():
                 deg = d1 + d2
-                if deg >= self.degrees:
+                if deg >= degrees:
                     continue
                 coeff = c1 * c2
                 if b == c:
@@ -143,27 +147,40 @@ def _reduce_against(row, basis) -> DiagVector:
     return tuple(row)
 
 
-@dataclass
-class Span:
-    """Span of off-diagonal matrix units and per-degree diagonal vectors."""
+class Span(Frozen):
+    """Span of off-diagonal matrix units and per-degree diagonal vectors.
 
-    algebra: TruncatedLoopAlgebra
-    units: frozenset[tuple[int, int, int]]
-    diagonals: dict[int, list[DiagVector]]
-    _diag_echelon: dict[int, list[DiagVector]] = field(init=False)
+    Equal by its three arguments; unhashable, since ``diagonals`` is a
+    dict.
+    """
 
-    def __post_init__(self) -> None:
-        for key in self.units:
+    __slots__ = ("algebra", "units", "diagonals", "_diag_echelon")
+    __hash__ = None
+
+    def __init__(
+        self,
+        algebra: TruncatedLoopAlgebra,
+        units: frozenset[tuple[int, int, int]],
+        diagonals: dict[int, list[DiagVector]],
+    ) -> None:
+        for key in units:
             deg, i, j = key
-            if i == j or not self.algebra.keeps(deg, i, j):
+            if i == j or key not in algebra.kept:
                 raise ValueError(f"unit {key} is not a kept off-diagonal position")
-        for deg, vecs in self.diagonals.items():
+        for deg, vecs in diagonals.items():
             for v in vecs:
                 if sum(v) != 0:
                     raise ValueError("diagonal span vectors must be traceless")
-                if self.algebra.masks[deg] == "upper":
+                if algebra.masks[deg] == "upper":
                     raise ValueError(f"degree {deg} keeps no diagonal")
-        self._diag_echelon = {deg: _echelon(vecs) for deg, vecs in self.diagonals.items()}
+        set_ = object.__setattr__
+        set_(self, "algebra", algebra)
+        set_(self, "units", units)
+        set_(self, "diagonals", diagonals)
+        set_(self, "_diag_echelon", {deg: _echelon(vecs) for deg, vecs in diagonals.items()})
+
+    def _fields(self) -> tuple:
+        return (self.algebra, self.units, self.diagonals)
 
     def basis_elements(self) -> list[Element]:
         out: list[Element] = [{key: 1} for key in sorted(self.units)]

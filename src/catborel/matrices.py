@@ -14,25 +14,25 @@ and last peak height j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .frozen import Frozen
 
-@dataclass(frozen=True)
-class ExactMatrix:
+
+class ExactMatrix(Frozen):
     """Square matrix of non-negative exact integers.
 
     Rows and columns are 1-based in documentation and error messages;
     ``entries`` itself is an ordinary 0-based tuple of row tuples.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        n = len(entries)
         if n == 0:
             raise ValueError("matrix must have positive size")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise ValueError(f"expected a square {n}x{n} matrix")
             for value in row:
@@ -40,6 +40,7 @@ class ExactMatrix:
                     raise ValueError("entries must be exact integers")
                 if value < 0:
                     raise ValueError("entries must be non-negative")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:

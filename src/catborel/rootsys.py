@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+
+from .frozen import Frozen
 
 Vector = tuple[int, ...]
 
@@ -102,12 +103,21 @@ def cartan_matrix(family: str, rank: int) -> tuple[Vector, ...]:
     return tuple(tuple(row) for row in c)
 
 
-@dataclass(frozen=True)
-class FiniteRootSystem:
-    label: str
-    cartan: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
-    highest_root: Vector
+class FiniteRootSystem(Frozen):
+    __slots__ = ("label", "cartan", "positive_roots", "highest_root")
+
+    def __init__(
+        self,
+        label: str,
+        cartan: tuple[Vector, ...],
+        positive_roots: tuple[Vector, ...],
+        highest_root: Vector,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "label", label)
+        set_(self, "cartan", cartan)
+        set_(self, "positive_roots", positive_roots)
+        set_(self, "highest_root", highest_root)
 
     @property
     def rank(self) -> int:
@@ -178,20 +188,21 @@ def build_root_system(source) -> FiniteRootSystem:
     )
 
 
-@dataclass(frozen=True)
-class WindowRoot:
+class WindowRoot(Frozen):
     """Element of D in (finite part, delta coefficient) form.
 
     Positive roots carry level 0; delta and the shifted negatives carry
     level 1, the latter with a negated finite part.
     """
 
-    finite: Vector
-    level: int
+    __slots__ = ("finite", "level")
 
-    def __post_init__(self) -> None:
-        if self.level not in (0, 1):
+    def __init__(self, finite: Vector, level: int) -> None:
+        if level not in (0, 1):
             raise ValueError("window roots live at delta level 0 or 1")
+        set_ = object.__setattr__
+        set_(self, "finite", finite)
+        set_(self, "level", level)
 
     @property
     def kind(self) -> str:
@@ -211,15 +222,24 @@ def _wr_sort_key(w: WindowRoot) -> tuple:
     return (w.level, _sort_key(tuple(-c for c in w.finite)) if w.kind == "neg" else _sort_key(w.finite), w.kind)
 
 
-@dataclass(frozen=True)
-class WindowPoset:
+class WindowPoset(Frozen):
     """The window D with both orders as bit rows: bit j of ``natural[i]``
     (resp. ``closure[i]``) is set when element i <= element j."""
 
-    system: FiniteRootSystem
-    elements: tuple[WindowRoot, ...]
-    natural: tuple[int, ...]
-    closure: tuple[int, ...]
+    __slots__ = ("system", "elements", "natural", "closure")
+
+    def __init__(
+        self,
+        system: FiniteRootSystem,
+        elements: tuple[WindowRoot, ...],
+        natural: tuple[int, ...],
+        closure: tuple[int, ...],
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "system", system)
+        set_(self, "elements", elements)
+        set_(self, "natural", natural)
+        set_(self, "closure", closure)
 
     def index(self, w: WindowRoot) -> int:
         try:

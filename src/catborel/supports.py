@@ -21,7 +21,6 @@ then checked with honest matrix brackets by ``verify_witness``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dyck import (
@@ -34,6 +33,7 @@ from .dyck import (
     staircase,
     valley_xs_at_height,
 )
+from .frozen import Frozen
 from .ideals import Interval, minus_intervals, partners, plus_intervals
 
 if TYPE_CHECKING:
@@ -42,33 +42,36 @@ if TYPE_CHECKING:
 CASES = ("I", "II", "III", "IV")
 
 
-@dataclass(frozen=True)
-class SupportQuadruple:
+class SupportQuadruple(Frozen):
     """Layer encoding (p, q, p_prime, q_prime) of a level-normalized support."""
 
-    n: int
-    p: DyckPath
-    q: DyckPath
-    p_prime: DyckPath
-    q_prime: DyckPath
+    __slots__ = ("n", "p", "q", "p_prime", "q_prime")
 
-    def __post_init__(self) -> None:
-        for path in (self.p, self.q, self.p_prime, self.q_prime):
-            if len(path.word) != 2 * self.n:
-                raise ValueError("all four paths must have semilength n")
+    def __init__(
+        self, n: int, p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prime: DyckPath
+    ) -> None:
+        if not len(p.word) == len(q.word) == len(p_prime.word) == len(q_prime.word) == 2 * n:
+            raise ValueError("all four paths must have semilength n")
+        set_ = object.__setattr__
+        set_(self, "n", n)
+        set_(self, "p", p)
+        set_(self, "q", q)
+        set_(self, "p_prime", p_prime)
+        set_(self, "q_prime", q_prime)
 
     def words(self) -> tuple[str, str, str, str]:
         return (self.p.word, self.q.word, self.p_prime.word, self.q_prime.word)
 
 
-@dataclass(frozen=True)
-class LevelledSupport:
-    level: int
-    quadruple: SupportQuadruple
+class LevelledSupport(Frozen):
+    __slots__ = ("level", "quadruple")
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
+    def __init__(self, level: int, quadruple: SupportQuadruple) -> None:
+        if level < 1:
             raise ValueError("level must be a positive integer")
+        set_ = object.__setattr__
+        set_(self, "level", level)
+        set_(self, "quadruple", quadruple)
 
 
 def classify(t: SupportQuadruple) -> str | None:

@@ -10,10 +10,10 @@ evaluates closed formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import dyck, ideals, matrices, rootsys, sequences, supports
+from .frozen import Frozen
 
 B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
 QUASI_ABELIAN_SEQUENCE = [1, 3, 11, 44, 183, 774, 3294, 14034]
@@ -43,12 +43,15 @@ ORDER_CHECK_TYPES = ("B3", "C3", "G2")
 SUITES = ("matrices", "dyck", "rootsys", "ideals", "supports")
 
 
-@dataclass(frozen=True)
-class Check:
-    suite: str
-    name: str
-    ok: bool
-    detail: str
+class Check(Frozen):
+    __slots__ = ("suite", "name", "ok", "detail")
+
+    def __init__(self, suite: str, name: str, ok: bool, detail: str) -> None:
+        set_ = object.__setattr__
+        set_(self, "suite", suite)
+        set_(self, "name", name)
+        set_(self, "ok", ok)
+        set_(self, "detail", detail)
 
 
 def _entry_or_zero(c, n: int, i: int, j: int) -> int:

@@ -59,6 +59,25 @@ def test_cells_listing_and_counts():
     assert out == "1,1,0\n1,1,0\n0,0,1\n"
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 0), (-1, 2), (4, 1), (1, 5)])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_cells_index_outside_one_to_n_exits_one(i, j, fmt):
+    # index 0 names an empty cell inside the library, but is no cell of n
+    code, out, err = run_cli("cells", "--n", "3", "--i", str(i), "--j", str(j), "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert "--i and --j must lie in 1..3" in err
+
+
+def test_cells_empty_cell_in_range_exits_zero():
+    # row n holds only the pyramid, at (n, n): the cell (4, 1) is empty
+    code, out, err = run_cli("cells", "--n", "4", "--i", "4", "--j", "1")
+    assert (code, out, err) == (0, "", "")
+    code, out, _ = run_cli("cells", "--n", "4", "--i", "4", "--j", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 4, "i": 4, "j": 1, "paths": []}
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_cells_table_matches_generated_cells(fmt):
     n = 8
@@ -380,15 +399,14 @@ if sys.argv[1:]:
         cli.main(sys.argv[1:])
 print(repr((
     sorted(m for m in sys.modules if m.partition(".")[0] == "catborel"),
-    "dataclasses" in sys.modules,
-    "json" in sys.modules,
+    {m: m in sys.modules for m in ("dataclasses", "inspect", "json")},
 )))
 """
 
 
 def loaded_by(*args):
     """The catborel modules a fresh interpreter has loaded after running
-    one command, and whether it loaded dataclasses and json."""
+    one command, and whether it loaded dataclasses, inspect and json."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *args],
         capture_output=True,
@@ -396,26 +414,36 @@ def loaded_by(*args):
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
         check=True,
     )
-    modules, with_dataclasses, with_json = ast.literal_eval(proc.stdout)
-    return {m.removeprefix("catborel.") for m in modules} - {"catborel"}, with_dataclasses, with_json
+    modules, stdlib = ast.literal_eval(proc.stdout)
+    return {m.removeprefix("catborel.") for m in modules} - {"catborel"}, stdlib
 
+
+ALL_MODULES = {
+    "cli", "dyck", "frozen", "ideals", "loopalgebra", "matrices", "rootsys", "sequences",
+    "supports", "verify",
+}
 
 # per command, the catborel modules it may load and whether it loads
-# dataclasses; none of these formats needs json
+# dataclasses (no command does); none of these formats needs json
 IMPORTS = {
     (): ({"cli"}, False),
     ("bn", "--upto", "3"): ({"cli", "sequences"}, False),
     ("quasi-abelian", "--upto", "3"): ({"cli", "sequences"}, False),
-    ("cells", "--n", "4", "--i", "2", "--j", "2"): ({"cli", "dyck"}, True),
-    ("split-search", "--type", "A2"): ({"cli", "rootsys"}, True),
-    ("order-check", "--type", "A2"): ({"cli", "rootsys"}, True),
-    ("enumerate-basic", "--n", "3"): ({"cli", "dyck", "ideals"}, True),
-    ("qnd-histogram", "--n", "3"): ({"cli", "dyck", "ideals"}, True),
+    ("cells", "--n", "4", "--i", "2", "--j", "2"): ({"cli", "dyck", "frozen"}, False),
+    ("catalan-matrix", "2"): ({"cli", "dyck", "frozen", "matrices"}, False),
+    ("split-search", "--type", "A2"): ({"cli", "frozen", "rootsys"}, False),
+    ("order-check", "--type", "A2"): ({"cli", "frozen", "rootsys"}, False),
+    ("enumerate-basic", "--n", "3"): ({"cli", "dyck", "frozen", "ideals"}, False),
+    ("qnd-histogram", "--n", "3"): ({"cli", "dyck", "frozen", "ideals"}, False),
+    ("support-classes", "--n", "2"): ({"cli", "dyck", "frozen", "ideals", "supports"}, False),
+    ("verify", "--max-n", "2"): (ALL_MODULES, False),
 }
 
 
 @pytest.mark.parametrize("args", IMPORTS, ids=lambda args: " ".join(args) or "import")
 def test_command_imports_only_what_it_runs(args):
-    # start-up is most of the cost of the cheap commands
+    # start-up is most of the cost of the cheap commands; dataclasses
+    # pulls in inspect, so each row pins both
     modules, with_dataclasses = IMPORTS[args]
-    assert loaded_by(*args) == (modules, with_dataclasses, False)
+    expected = {"dataclasses": with_dataclasses, "inspect": with_dataclasses, "json": False}
+    assert loaded_by(*args) == (modules, expected)
