@@ -237,11 +237,12 @@ def cmd_order_check(args) -> int:
 
     poset = rootsys.window(rootsys.build_root_system(args.type))
     same = rootsys.orders_coincide(poset)
+    label = poset.system.label
     if args.format == "json":
         _emit(
             _json_dump(
                 {
-                    "type": args.type,
+                    "type": label,
                     "window_size": len(poset.elements),
                     "orders_coincide": same,
                     "covers": poset.cover_relations(),
@@ -250,7 +251,7 @@ def cmd_order_check(args) -> int:
             args.out,
         )
     else:
-        _emit(f"{args.type}: |D|={len(poset.elements)} orders_coincide={same}\n", args.out)
+        _emit(f"{label}: |D|={len(poset.elements)} orders_coincide={same}\n", args.out)
     return 0 if same else VERIFY_EXIT
 
 
@@ -272,7 +273,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="catborel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, formats, **kwargs):
+    def command(name, fn, formats, **kwargs):
         """A subcommand accepting only the formats it implements; the
         first one is the default."""
         p = sub.add_parser(name, **kwargs)
@@ -281,13 +282,13 @@ def build_parser() -> _Parser:
         p.add_argument("--out", metavar="PATH", default=None)
         return p
 
-    p = add(
+    p = command(
         "catalan-matrix", cmd_catalan_matrix, ("table", "json", "csv"),
         help="print the n-th cell-count matrix",
     )
     p.add_argument("n", type=positive_int)
 
-    p = add(
+    p = command(
         "cells", cmd_cells, ("table", "json", "csv"),
         help="cell counts, or the paths of one cell",
     )
@@ -295,44 +296,44 @@ def build_parser() -> _Parser:
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
 
-    p = add("bn", cmd_bn, ("bfile", "json", "csv"), help="the basic-ideal counting sequence")
+    p = command("bn", cmd_bn, ("bfile", "json", "csv"), help="the basic-ideal counting sequence")
     p.add_argument("--upto", type=positive_int, required=True)
 
-    p = add(
+    p = command(
         "enumerate-basic", cmd_enumerate_basic, ("table", "json"),
         help="list all basic ideals with invariants",
     )
     p.add_argument("--n", type=positive_int, required=True)
 
-    p = add("quasi-abelian", cmd_quasi_abelian, ("bfile", "json"), help="quasi-abelian ideal counts")
+    p = command("quasi-abelian", cmd_quasi_abelian, ("bfile", "json"), help="quasi-abelian ideal counts")
     p.add_argument("--upto", type=positive_int, required=True)
 
-    p = add(
+    p = command(
         "qnd-histogram", cmd_qnd_histogram, ("bfile", "json"),
         help="histogram of quasi-nilpotency degrees",
     )
     p.add_argument("--n", type=positive_int, required=True)
 
-    p = add(
+    p = command(
         "support-classes", cmd_support_classes, ("table", "json", "csv", "bfile"),
         help="level-normalized support classes",
     )
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--level", type=positive_int, default=1)
 
-    p = add(
+    p = command(
         "split-search", cmd_split_search, ("table", "json"),
         help="search for forbidden highest-root splits",
     )
     p.add_argument("--type", required=True, metavar="LABEL")
 
-    p = add(
+    p = command(
         "order-check", cmd_order_check, ("table", "json"),
         help="compare the two window orders",
     )
     p.add_argument("--type", required=True, metavar="LABEL")
 
-    p = add("verify", cmd_verify, ("table",), help="run the self-verification suites")
+    p = command("verify", cmd_verify, ("table",), help="run the self-verification suites")
     # no choices: verify.run_suites refuses an unknown suite, and listing the
     # suites here would import verify at every start-up
     p.add_argument("--suite", default="all", metavar="NAME", help="one suite, or all")

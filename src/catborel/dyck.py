@@ -106,11 +106,6 @@ class DyckPath(Frozen):
     def last_peak(self) -> int:
         return self.peaks[-1][1]
 
-    def reflect(self) -> "DyckPath":
-        """Reverse the word and swap rises with falls (mirror at x = n)."""
-        swapped = {RISE: FALL, FALL: RISE}
-        return DyckPath("".join(swapped[s] for s in reversed(self.word)))
-
 
 def peaks_at_least(p: DyckPath, height: int) -> int:
     return sum(1 for _, h in p.peaks if h >= height)

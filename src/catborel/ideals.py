@@ -28,9 +28,9 @@ the transfer DP that check the conjectural closed forms of
 test, the quasi-nilpotency degree, and a matrix oracle
 (:func:`verify_basic_in_truncation`) that replays the ideal property
 with honest brackets in a truncated loop algebra, independent of all
-the interval bookkeeping above.  The window and bracket code is imported
-inside the few functions that use it, so enumerating and counting
-ideals does not load it.
+the interval bookkeeping above.  The window, bracket and matrix code is
+imported inside the few functions that use it, so enumerating and
+counting ideals does not load it.
 """
 
 from __future__ import annotations
@@ -340,23 +340,14 @@ def b_count_formula(n: int) -> int:
     omega(C(n)), in O(n^2) integer operations.
 
     The entries of C(n) are the reflection-principle cell counts, except
-    that row n and column n hold only the pyramid at (n, n).  Entry
-    (i, j) of omega(C) is the suffix sum S[max(1, n - j)][max(1, n - i)],
-    where S[k][m] sums C over rows k..n and columns m..n.
+    that row n and column n hold only the pyramid at (n, n).
     """
+    from .matrices import dot, matrix, omega
+
     if n < 1:
         raise ValueError("n must be at least 1")
-    # C(n) inside a zero border, so that c[i][j] is entry (i, j)
-    c = [[0] * (n + 2)] + [[0, *row, 0] for row in cell_count_rows(n)] + [[0] * (n + 2)]
-    s = [[0] * (n + 2) for _ in range(n + 2)]
-    for k in range(n, 0, -1):
-        for m in range(n, 0, -1):
-            s[k][m] = c[k][m] + s[k + 1][m] + s[k][m + 1] - s[k + 1][m + 1]
-    return sum(
-        c[i][j] * s[max(1, n - j)][max(1, n - i)]
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
+    c = matrix(cell_count_rows(n))
+    return dot(c, omega(c))
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +541,14 @@ def support_span(n: int, s_plus, s_minus, include_delta: bool = True) -> Span:
 def verify_basic_in_truncation(b: BasicIdeal) -> bool:
     """Check with explicit matrix brackets that the support span is stable
     under the Borel generators in the two-degree quotient."""
-    return b.n == 1 or span_is_stable(b.n, b.s_plus, b.s_minus)
+    from .loopalgebra import stable_under
 
-
-def span_is_stable(n: int, s_plus, s_minus, include_delta: bool = True) -> bool:
-    """Stability check for an arbitrary candidate span, without the closure
-    validation of :class:`BasicIdeal`; used for negative controls."""
-    from .loopalgebra import borel_generators, stable_under
-
-    span = support_span(n, s_plus, s_minus, include_delta)
-    return stable_under(span, borel_generators(span.algebra))
+    return stable_under(support_span(b.n, b.s_plus, b.s_minus))
 
 
 def is_quasi_abelian_bracket(b: BasicIdeal) -> bool:
     """Quasi-abelian test by brute force in the quotient: every bracket of
     two candidate basis elements must vanish there."""
-    if b.n == 1:
-        return True
     span = support_span(b.n, b.s_plus, b.s_minus)
     basis = span.basis_elements()
     alg = span.algebra

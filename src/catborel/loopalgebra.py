@@ -212,11 +212,22 @@ class Span(Frozen):
         return True
 
 
-def stable_under(span: Span, generators: list[Element]) -> bool:
-    """True when the bracket of every generator with every span basis
-    element stays inside the span."""
+def one_degree_up(span: Span) -> Span:
+    """The span moved up one loop degree, in a truncation one degree
+    longer that keeps only raising units at the new degree zero."""
+    alg = span.algebra
+    return Span(
+        TruncatedLoopAlgebra(alg.n, ("upper",) + alg.masks),
+        frozenset((d + 1, i, j) for d, i, j in span.units),
+        {d + 1: vecs for d, vecs in span.diagonals.items()},
+    )
+
+
+def stable_under(span: Span) -> bool:
+    """True when the bracket of every Borel generator of the span's
+    algebra with every span basis element stays inside the span."""
     basis = span.basis_elements()
-    for g in generators:
+    for g in borel_generators(span.algebra):
         for x in basis:
             if not span.contains(span.algebra.bracket(g, x)):
                 return False

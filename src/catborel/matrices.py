@@ -60,20 +60,6 @@ def matrix(rows) -> ExactMatrix:
     return ExactMatrix(tuple(tuple(int(v) for v in row) for row in rows))
 
 
-def zero(n: int) -> ExactMatrix:
-    return matrix([[0] * n for _ in range(n)])
-
-
-def identity(n: int) -> ExactMatrix:
-    return matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    return matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
-
-
 def tau(a: ExactMatrix) -> ExactMatrix:
     """Column sums taken from one row above: result entry (i, j) is the sum
     of column j of ``a`` over rows max(1, i-1) through n.
@@ -90,17 +76,19 @@ def tau(a: ExactMatrix) -> ExactMatrix:
 
 def omega(a: ExactMatrix) -> ExactMatrix:
     """Bottom-right block sums: result entry (i, j) is the sum of ``a`` over
-    rows max(1, n-j) through n and columns max(1, n-i) through n."""
+    rows max(1, n-j) through n and columns max(1, n-i) through n.
+
+    Read off the 2-D suffix sums of ``a`` in O(n^2) additions."""
     n = a.n
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            rlo = max(1, n - j)
-            clo = max(1, n - i)
-            row.append(sum(a.entry(k, m) for k in range(rlo, n + 1) for m in range(clo, n + 1)))
-        rows.append(row)
-    return matrix(rows)
+    # s[k][m] sums rows k..n and columns m..n (1-based), zero past the edge
+    s = [[0] * (n + 2) for _ in range(n + 2)]
+    for k in range(n, 0, -1):
+        row = a.entries[k - 1]
+        for m in range(n, 0, -1):
+            s[k][m] = row[m - 1] + s[k + 1][m] + s[k][m + 1] - s[k + 1][m + 1]
+    return matrix(
+        [[s[max(1, n - j)][max(1, n - i)] for j in range(1, n + 1)] for i in range(1, n + 1)]
+    )
 
 
 def dot(a: ExactMatrix, b: ExactMatrix) -> int:

@@ -75,12 +75,11 @@ def cartan_matrix(family: str, rank: int) -> tuple[Vector, ...]:
         if rank < 3:
             raise ValueError("type D needs rank >= 3")
         c = _chain_cartan(rank)
-        if rank >= 3:
-            # detach the last node from the chain and hang it off node rank-3
-            c[rank - 1][rank - 2] = 0
-            c[rank - 2][rank - 1] = 0
-            c[rank - 1][rank - 3] = -1
-            c[rank - 3][rank - 1] = -1
+        # detach the last node from the chain and hang it off node rank-3
+        c[rank - 1][rank - 2] = 0
+        c[rank - 2][rank - 1] = 0
+        c[rank - 1][rank - 3] = -1
+        c[rank - 3][rank - 1] = -1
     elif family == "E":
         if rank not in (6, 7, 8):
             raise ValueError("type E exists for ranks 6, 7, 8")
@@ -123,13 +122,6 @@ class FiniteRootSystem(Frozen):
     def rank(self) -> int:
         return len(self.cartan)
 
-    @property
-    def root_set(self) -> frozenset[Vector]:
-        return frozenset(self.positive_roots)
-
-    def simple_roots(self) -> tuple[Vector, ...]:
-        r = self.rank
-        return tuple(tuple(1 if k == i else 0 for k in range(r)) for i in range(r))
 
 
 def _sort_key(v: Vector) -> tuple:

@@ -8,15 +8,16 @@ the same grid walk as in :mod:`catborel.ideals`, giving a quadruple
 (p, q, p', q') of Dyck paths; the level only translates the picture, so
 level-1 quadruples classify everything.
 
-``classify`` decides which quadruples actually occur, splitting the
-accepted ones into four mutually exclusive shapes driven by whether the
-two leading layers are trivial, how often p' returns to the floor, and
-dominance thresholds against minimal partners.  Statements comparing a
-count use the number of height-0 valleys; statements written as
-containments use the set of their x-coordinates.  ``build_witness``
-constructs, per shape, an explicit spanning set in a three-degree
-truncated loop algebra whose stability under the Borel generators is
-then checked with honest matrix brackets by ``verify_witness``.
+``classify`` decides, from the four paths alone, which quadruples
+actually occur, splitting the accepted ones into four mutually
+exclusive shapes driven by whether the two leading layers are trivial,
+how often p' returns to the floor, and dominance thresholds against
+minimal partners.  Statements comparing a count use the number of
+height-0 valleys; statements written as containments use the set of
+their x-coordinates.  ``build_witness`` constructs, per shape, an
+explicit spanning set in a three-degree truncated loop algebra whose
+stability under the Borel generators is then checked with honest
+matrix brackets by ``verify_witness``.
 """
 
 from __future__ import annotations
@@ -63,49 +64,41 @@ class SupportQuadruple(Frozen):
         return (self.p.word, self.q.word, self.p_prime.word, self.q_prime.word)
 
 
-class LevelledSupport(Frozen):
-    __slots__ = ("level", "quadruple")
-
-    def __init__(self, level: int, quadruple: SupportQuadruple) -> None:
-        if level < 1:
-            raise ValueError("level must be a positive integer")
-        set_ = object.__setattr__
-        set_(self, "level", level)
-        set_(self, "quadruple", quadruple)
-
-
-def classify(t: SupportQuadruple) -> str | None:
-    """Shape tag of an admissible quadruple, or None for a rejected one.
+def classify(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prime: DyckPath) -> str | None:
+    """Shape tag of an admissible quadruple of paths, or None for a
+    rejected one; the four paths must share one semilength n.
 
     The single semilength-1 quadruple is accepted with its own tag
     "unique"; the four shapes require n at least 2.
     """
-    n = t.n
+    n = len(p.word) // 2
+    if not len(q.word) == len(p_prime.word) == len(q_prime.word) == 2 * n:
+        raise ValueError("all four paths must have one semilength")
     if n == 1:
         return "unique"
     top = pyramid(n)
-    if t.p != top:
+    if p != top:
         # the equality test is cheap and rejects most quadruples first
         if (
-            t.q_prime == top
-            and path_leq(min_partner(t.p), t.q)
-            and floor_gap_points(t.q) | {2, 2 * n - 2} <= valley_xs_at_height(t.p_prime, 0)
+            q_prime == top
+            and path_leq(min_partner(p), q)
+            and floor_gap_points(q) | {2, 2 * n - 2} <= valley_xs_at_height(p_prime, 0)
         ):
             return "IV"
         return None
-    v0_prime = valley_xs_at_height(t.p_prime, 0)
-    if t.q == staircase(n):
-        if len(v0_prime) == 1 and t.q_prime == top:
+    v0_prime = valley_xs_at_height(p_prime, 0)
+    if q == staircase(n):
+        if len(v0_prime) == 1 and q_prime == top:
             return "I"
-        if len(v0_prime) > 1 and path_leq(min_partner(t.p_prime), t.q_prime):
+        if len(v0_prime) > 1 and path_leq(min_partner(p_prime), q_prime):
             return "II"
         return None
-    if not floor_gap_points(t.q) <= v0_prime:
+    if not floor_gap_points(q) <= v0_prime:
         return None
-    if not path_leq(min_partner(t.p_prime), t.q_prime):
+    if not path_leq(min_partner(p_prime), q_prime):
         return None
-    v0_q = valley_xs_at_height(t.q, 0)
-    if (2 not in v0_q or 2 * n - 2 not in v0_q) and t.q_prime != top:
+    v0_q = valley_xs_at_height(q, 0)
+    if (2 not in v0_q or 2 * n - 2 not in v0_q) and q_prime != top:
         return None
     return "III"
 
@@ -152,14 +145,6 @@ def enumerate_classes(n: int) -> list[tuple[SupportQuadruple, str]]:
         return out
 
     return [item for p in paths for item in classes_for(p)]
-
-
-def shift_level(ls: LevelledSupport, k: int) -> LevelledSupport:
-    """Translate the whole support by k imaginary roots; the quadruple is
-    untouched and the resulting level must stay positive."""
-    if ls.level + k < 1:
-        raise ValueError("shift would take the level below 1")
-    return LevelledSupport(ls.level + k, ls.quadruple)
 
 
 def layer_intervals(t: SupportQuadruple) -> dict[str, frozenset[Interval]]:
@@ -242,7 +227,7 @@ def build_witness(t: SupportQuadruple) -> Span:
     """
     from .loopalgebra import Span, cartan_basis, coroot_vector, dual_basis_vector
 
-    case = classify(t)
+    case = classify(t.p, t.q, t.p_prime, t.q_prime)
     if case is None:
         raise ValueError("quadruple is not accepted; no witness exists")
     n = t.n
@@ -272,12 +257,9 @@ def build_witness(t: SupportQuadruple) -> Span:
 def verify_witness(t: SupportQuadruple) -> bool:
     """Check with matrix brackets that the witness span is stable under
     the Borel generators in the three-degree truncation."""
-    from .loopalgebra import borel_generators, stable_under
+    from .loopalgebra import stable_under
 
-    span = build_witness(t)
-    if t.n == 1:
-        return True
-    return stable_under(span, borel_generators(span.algebra))
+    return stable_under(build_witness(t))
 
 
 def assemble_naive_span(t: SupportQuadruple) -> Span:
@@ -290,15 +272,6 @@ def assemble_naive_span(t: SupportQuadruple) -> Span:
     alg = _witness_algebra(n)
     units = _layer_units(layer_intervals(t))
     return Span(alg, frozenset(units), {1: cartan_basis(n), 2: cartan_basis(n)})
-
-
-def naive_span_is_stable(t: SupportQuadruple) -> bool:
-    from .loopalgebra import borel_generators, stable_under
-
-    if t.n == 1:
-        return True
-    span = assemble_naive_span(t)
-    return stable_under(span, borel_generators(span.algebra))
 
 
 def class_record(t: SupportQuadruple, case: str, level: int = 1) -> dict:

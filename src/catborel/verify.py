@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from . import dyck, ideals, matrices, rootsys, sequences, supports
+from . import dyck, ideals, loopalgebra, matrices, rootsys, sequences, supports
 from .frozen import Frozen
 
 B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
@@ -257,8 +257,10 @@ def suite_ideals(max_n: int) -> list[Check]:
         for n in range(1, bound5 + 1)
         for b in ideals.basic_ideals(n)
     )
-    controls_fail = not ideals.span_is_stable(3, {(1, 1)}, {(2, 2)}) and not ideals.span_is_stable(
-        3, {(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, include_delta=False
+    controls_fail = not loopalgebra.stable_under(
+        ideals.support_span(3, {(1, 1)}, {(2, 2)})
+    ) and not loopalgebra.stable_under(
+        ideals.support_span(3, {(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, include_delta=False)
     )
     out.append(
         Check(
@@ -281,16 +283,11 @@ def suite_supports(max_n: int) -> list[Check]:
     out.append(Check("supports", "class_counts_pinned", counts_ok, f"n<={bound5}"))
 
     bound4 = min(max_n, 4)
-    excl_ok = True
-    for n in range(2, bound4 + 1):
-        paths = dyck.all_paths(n)
-        accepted = 0
-        for p, q, pp, qp in product(paths, repeat=4):
-            t = supports.SupportQuadruple(n, p, q, pp, qp)
-            if supports.classify(t) is not None:
-                accepted += 1
-        if accepted != SUPPORT_CLASS_SEQUENCE[n - 1]:
-            excl_ok = False
+    excl_ok = all(
+        sum(supports.classify(*quad) is not None for quad in product(dyck.all_paths(n), repeat=4))
+        == SUPPORT_CLASS_SEQUENCE[n - 1]
+        for n in range(2, bound4 + 1)
+    )
     out.append(Check("supports", "full_product_scan", excl_ok, f"n<={bound4}"))
 
     bound6 = min(max_n, 6)
@@ -304,37 +301,40 @@ def suite_supports(max_n: int) -> list[Check]:
     # build_witness re-classifies, so a listed quadruple that classify
     # rejects must fail here rather than raise
     wit_ok = all(
-        supports.classify(t) == case and supports.verify_witness(t)
+        supports.classify(t.p, t.q, t.p_prime, t.q_prime) == case and supports.verify_witness(t)
         for n in range(1, bound4 + 1)
         for t, case in supports.enumerate_classes(n)
     )
     q2 = dyck.staircase(2)
-    control = not supports.naive_span_is_stable(
-        supports.SupportQuadruple(2, q2, q2, q2, q2)
-    )
+    all_staircase = supports.SupportQuadruple(2, q2, q2, q2, q2)
+    control = not loopalgebra.stable_under(supports.assemble_naive_span(all_staircase))
     out.append(Check("supports", "witness_brackets", wit_ok and control, f"n<={bound4}"))
 
-    embed_ok = True
-    for n in range(1, bound4 + 1):
-        for b in ideals.basic_ideals(n):
-            p, q = ideals.phi(b)
-            t = supports.SupportQuadruple(
-                n, p, q,
-                dyck.staircase(n) if n > 1 else dyck.pyramid(1),
-                dyck.pyramid(n),
-            )
-            if supports.classify(t) is None:
-                embed_ok = False
+    embed_ok = all(
+        supports.classify(*ideals.phi(b), dyck.staircase(n), dyck.pyramid(n)) is not None
+        for n in range(1, bound4 + 1)
+        for b in ideals.basic_ideals(n)
+    )
     out.append(Check("supports", "basic_ideal_embedding", embed_ok, f"n<={bound4}"))
 
-    shift_ok = True
-    for n in range(1, bound4 + 1):
-        for t, _ in supports.enumerate_classes(n):
-            ls = supports.LevelledSupport(1, t)
-            up = supports.shift_level(ls, 2)
-            if supports.shift_level(up, -2) != ls or up.quadruple != t:
-                shift_ok = False
-    out.append(Check("supports", "level_shift_bijection", shift_ok, f"n<={bound4}"))
+    # the level only translates a support, so each witness moved one loop
+    # degree up must stay stable in a truncation one degree longer
+    bound3 = min(max_n, 3)
+    level_ok = all(
+        supports.classify(t.p, t.q, t.p_prime, t.q_prime) == case
+        and loopalgebra.stable_under(loopalgebra.one_degree_up(supports.build_witness(t)))
+        for n in range(1, bound3 + 1)
+        for t, case in supports.enumerate_classes(n)
+    )
+    level_control = not loopalgebra.stable_under(
+        loopalgebra.one_degree_up(supports.assemble_naive_span(all_staircase))
+    )
+    out.append(
+        Check(
+            "supports", "level_two_witnesses", level_ok and level_control,
+            f"n<={bound3}, negative control fails",
+        )
+    )
     return out
 
 

@@ -10,7 +10,7 @@ import time
 from itertools import product
 from pathlib import Path
 
-from catborel import dyck, ideals, matrices, rootsys, supports
+from catborel import dyck, ideals, loopalgebra, matrices, rootsys, supports
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -240,8 +240,8 @@ def test_criterion_12_support_classification():
         for n in (2, 3, 4):
             paths = dyck.all_paths(n)
             count = 0
-            for p, q, pp, qp in product(paths, repeat=4):
-                if supports.classify(supports.SupportQuadruple(n, p, q, pp, qp)):
+            for quad in product(paths, repeat=4):
+                if supports.classify(*quad):
                     count += 1
             assert count == CLASS_SEQUENCE[n - 1]
         accepted, multi = _exclusivity_scan(5)
@@ -260,13 +260,13 @@ def test_criterion_13_truncation_oracle():
         for n in range(1, 6):
             for b in ideals.basic_ideals(n):
                 assert ideals.verify_basic_in_truncation(b)
-        assert not ideals.span_is_stable(3, {(1, 1)}, {(2, 2)})
-        assert not ideals.span_is_stable(
-            3, {(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, include_delta=False
+        assert not loopalgebra.stable_under(ideals.support_span(3, {(1, 1)}, {(2, 2)}))
+        assert not loopalgebra.stable_under(
+            ideals.support_span(3, {(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, include_delta=False)
         )
         q2 = dyck.staircase(2)
-        assert not supports.naive_span_is_stable(
-            supports.SupportQuadruple(2, q2, q2, q2, q2)
+        assert not loopalgebra.stable_under(
+            supports.assemble_naive_span(supports.SupportQuadruple(2, q2, q2, q2, q2))
         )
 
 

@@ -245,6 +245,16 @@ def test_split_search_and_order_check():
     assert payload["covers"]["delta"] == []
 
 
+def test_order_check_prints_the_canonical_label(capsys):
+    # like split-search, order-check names the type as parsed, not as typed
+    assert cli.main(["order-check", "--type", " g2"]) == 0
+    assert capsys.readouterr().out == "G2: |D|=13 orders_coincide=True\n"
+    assert cli.main(["order-check", "--type", " g2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["type"] == "G2"
+    assert cli.main(["split-search", "--type", " g2"]) == 0
+    assert capsys.readouterr().out.startswith("G2: ")
+
+
 def test_usage_errors_exit_one():
     code, _, err = run_cli("bogus")
     assert code == 1

@@ -28,9 +28,10 @@ from catborel.ideals import (
     qnd_direct,
     qnd_from_plus_degree,
     quasi_abelian_count,
-    span_is_stable,
+    support_span,
     verify_basic_in_truncation,
 )
+from catborel.loopalgebra import stable_under
 from catborel.matrices import catalan_matrix, dot, omega
 from catborel.rootsys import WindowRoot
 from catborel.sequences import b_sequence, quasi_abelian_sequence
@@ -398,10 +399,10 @@ def test_truncation_oracle_accepts_all_basic_ideals():
 
 def test_truncation_oracle_negative_controls():
     # a lone simple root misses its bracket with the next raising operator
-    assert not span_is_stable(3, {(1, 1)}, {(2, 2)})
+    assert not stable_under(support_span(3, {(1, 1)}, {(2, 2)}))
     # dropping the imaginary component breaks the annihilating bracket
-    assert not span_is_stable(
-        3, {(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, include_delta=False
+    assert not stable_under(
+        support_span(3, {(1, 1), (1, 2)}, {(1, 1), (2, 2), (1, 2)}, include_delta=False)
     )
 
 

@@ -26,7 +26,7 @@ from catborel.dyck import (
     staircase,
 )
 from catborel.loopalgebra import Span, TruncatedLoopAlgebra
-from catborel.matrices import matrix, tau
+from catborel.matrices import matrix, omega, tau
 from catborel.ideals import (
     BasicIdeal,
     is_admissible,
@@ -36,6 +36,7 @@ from catborel.ideals import (
     qnd_from_plus_degree,
 )
 from catborel.supports import SupportQuadruple, classify, enumerate_classes
+from test_dyck import reflect
 from test_ideals import fresh_nd_plus
 
 
@@ -102,8 +103,8 @@ def test_cached_degrees_match_fresh_computation(pair):
 @settings(max_examples=100, deadline=None)
 @given(dyck_paths())
 def test_reflect_is_an_involution(p):
-    r = p.reflect()
-    assert r.reflect() == p
+    r = reflect(p)
+    assert reflect(r) == p
     assert (r.first_peak, r.last_peak) == (p.last_peak, p.first_peak)
 
 
@@ -158,8 +159,8 @@ def test_classify_accepts_exactly_the_listed_classes(drawn):
     paths = [t.p, t.q, t.p_prime, t.q_prime]
     for path in all_paths(t.n):
         paths[slot] = path
-        u = SupportQuadruple(t.n, *paths)
-        assert classify(u) == cases.get(u.words()), u.words()
+        words = tuple(p.word for p in paths)
+        assert classify(*paths) == cases.get(words), words
 
 
 def fraction_rank(vectors):
@@ -221,3 +222,22 @@ def test_tau_matches_its_entrywise_definition(rows):
         [sum(rows[s][j] for s in range(max(0, i - 1), n)) for j in range(n)] for i in range(n)
     ]
     assert tau(matrix(rows)).rows() == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_omega_matches_its_entrywise_definition(rows):
+    # entry (i, j), 1-based, sums rows max(1, n-j)..n and columns max(1, n-i)..n
+    n = len(rows)
+    expect = [
+        [
+            sum(
+                rows[k - 1][m - 1]
+                for k in range(max(1, n - j), n + 1)
+                for m in range(max(1, n - i), n + 1)
+            )
+            for j in range(1, n + 1)
+        ]
+        for i in range(1, n + 1)
+    ]
+    assert omega(matrix(rows)).rows() == expect

@@ -13,6 +13,13 @@ from catborel.rootsys import (
     window,
 )
 
+
+def simple_roots(system):
+    """The unit vectors of the simple-root basis."""
+    r = system.rank
+    return tuple(tuple(1 if k == i else 0 for k in range(r)) for i in range(r))
+
+
 # classical positive-root counts and highest roots over the simple basis
 EXPECTED = {
     "A1": (1, (1,)),
@@ -40,8 +47,7 @@ def test_positive_root_tables(label):
     rs = build_root_system(label)
     assert len(rs.positive_roots) == count
     assert rs.highest_root == highest
-    simples = set(rs.simple_roots())
-    assert simples <= rs.root_set
+    assert set(simple_roots(rs)) <= set(rs.positive_roots)
 
 
 def test_type_a_count_formula():
@@ -169,7 +175,6 @@ def test_split_search_reports_violations_when_conditions_relaxed():
     # sanity of the search loop: with the non-root condition dropped,
     # splits do exist in type A
     rs = build_root_system("A3")
-    pos = rs.root_set
     found = []
     for xi in rs.positive_roots:
         for zeta in rs.positive_roots:
@@ -189,7 +194,7 @@ def brute_tables(poset):
     """Natural and closure tables of the window, one pair at a time."""
     system = poset.system
     highest = system.highest_root
-    pos_set = system.root_set
+    pos_set = frozenset(system.positive_roots)
     all_roots = pos_set | {tuple(-c for c in v) for v in pos_set}
     elements = poset.elements
     n = len(elements)
@@ -336,7 +341,7 @@ def test_check_partial_order_negative_controls(edit, problem):
 
 def brute_split_search(system):
     """The split search on tuples, one root and one simple root at a time."""
-    pos = system.root_set
+    pos = frozenset(system.positive_roots)
     rank = system.rank
     highest = system.highest_root
     hits = []
@@ -368,7 +373,7 @@ def test_split_search_matches_brute_reference(label):
     # with roots removed (simple and highest roots kept) splits do exist,
     # so the two searches are also compared on nonempty results
     roots = system.positive_roots
-    keep = set(system.simple_roots()) | {system.highest_root}
+    keep = set(simple_roots(system)) | {system.highest_root}
     found = []
     for kept in (
         [v for v in roots if v in keep],

@@ -4,17 +4,16 @@ import pytest
 
 from catborel import ideals
 from catborel.dyck import DyckPath, all_paths, pyramid, staircase
+from catborel.loopalgebra import one_degree_up, stable_under
 from catborel.supports import (
-    LevelledSupport,
     SupportQuadruple,
+    assemble_naive_span,
     build_witness,
     check_layer_restrictions,
     class_record,
     classify,
     enumerate_classes,
     layer_intervals,
-    naive_span_is_stable,
-    shift_level,
     verify_witness,
 )
 
@@ -25,16 +24,25 @@ def quad(n, p, q, pp, qp):
     return SupportQuadruple(n, DyckPath(p), DyckPath(q), DyckPath(pp), DyckPath(qp))
 
 
+def classify_words(*words):
+    return classify(*map(DyckPath, words))
+
+
 def test_semilength_mismatch_rejected():
     with pytest.raises(ValueError):
         SupportQuadruple(2, pyramid(2), pyramid(2), pyramid(2), pyramid(3))
+    for slot in range(4):
+        paths = [pyramid(2)] * 4
+        paths[slot] = pyramid(3)
+        with pytest.raises(ValueError):
+            classify(*paths)
 
 
 def test_classify_spot_examples():
-    assert classify(quad(2, "rrff", "rfrf", "rfrf", "rrff")) == "I"
-    assert classify(quad(2, "rfrf", "rrff", "rfrf", "rrff")) == "IV"
-    assert classify(quad(2, "rfrf", "rfrf", "rfrf", "rfrf")) is None
-    assert classify(quad(2, "rrff", "rrff", "rfrf", "rrff")) == "III"
+    assert classify_words("rrff", "rfrf", "rfrf", "rrff") == "I"
+    assert classify_words("rfrf", "rrff", "rfrf", "rrff") == "IV"
+    assert classify_words("rfrf", "rfrf", "rfrf", "rfrf") is None
+    assert classify_words("rrff", "rrff", "rfrf", "rrff") == "III"
 
 
 def test_single_quadruple_at_semilength_one():
@@ -43,7 +51,7 @@ def test_single_quadruple_at_semilength_one():
     t, case = classes[0]
     assert t.words() == ("rf", "rf", "rf", "rf")
     assert case == "unique"
-    assert classify(t) == "unique"
+    assert classify(t.p, t.q, t.p_prime, t.q_prime) == "unique"
 
 
 def test_class_counts_pinned():
@@ -85,11 +93,10 @@ def _classify_candidates(n):
 def test_enumeration_matches_brute_force_classify():
     for n in (2, 3, 4, 5):
         expected = {}
-        for p, q, pp, qp in _classify_candidates(n):
-            t = SupportQuadruple(n, p, q, pp, qp)
-            case = classify(t)
+        for paths in _classify_candidates(n):
+            case = classify(*paths)
             if case is not None:
-                expected[t.words()] = case
+                expected[tuple(p.word for p in paths)] = case
         got = {t.words(): case for t, case in enumerate_classes(n)}
         assert got == expected
 
@@ -141,7 +148,9 @@ def test_witness_refused_for_rejected_quadruple():
 
 
 def test_naive_span_negative_control():
-    assert not naive_span_is_stable(quad(2, "rfrf", "rfrf", "rfrf", "rfrf"))
+    span = assemble_naive_span(quad(2, "rfrf", "rfrf", "rfrf", "rfrf"))
+    assert not stable_under(span)
+    assert not stable_under(one_degree_up(span))
 
 
 def test_witness_span_contents_smallest_case():
@@ -157,37 +166,23 @@ def test_basic_ideal_embedding():
     for n in range(1, 5):
         for b in ideals.basic_ideals(n):
             p, q = ideals.phi(b)
-            t = SupportQuadruple(
-                n,
-                p,
-                q,
-                staircase(n) if n > 1 else pyramid(1),
-                pyramid(n),
-            )
-            assert classify(t) is not None
+            assert classify(p, q, staircase(n), pyramid(n)) is not None
 
 
 def test_class_count_is_level_independent():
-    # shifting every level-1 class to levels 2 and 3 is a bijection
+    # the level only translates a support: every witness moved one loop
+    # degree up stays stable in the truncation one degree longer
     for n in range(1, 5):
-        base = [LevelledSupport(1, t) for t, _ in enumerate_classes(n)]
-        for k in (1, 2):
-            moved = [shift_level(ls, k) for ls in base]
-            assert len(set(moved)) == len(base)
-            assert all(ls.level == 1 + k for ls in moved)
-            assert [shift_level(ls, -k) for ls in moved] == base
+        for t, _ in enumerate_classes(n):
+            assert stable_under(one_degree_up(build_witness(t))), t.words()
 
 
 def test_level_shift_round_trip():
-    t = quad(2, "rrff", "rfrf", "rfrf", "rrff")
-    ls = LevelledSupport(1, t)
-    up = shift_level(ls, 3)
-    assert up.level == 4 and up.quadruple == t
-    assert shift_level(up, -3) == ls
-    with pytest.raises(ValueError):
-        shift_level(ls, -1)
-    with pytest.raises(ValueError):
-        LevelledSupport(0, t)
+    span = build_witness(quad(2, "rrff", "rfrf", "rfrf", "rrff"))
+    up = one_degree_up(span)
+    assert up.algebra.masks == ("upper",) + span.algebra.masks
+    assert {(d - 1, i, j) for d, i, j in up.units} == span.units
+    assert {d - 1: vecs for d, vecs in up.diagonals.items()} == span.diagonals
 
 
 def test_layer_intervals_round_trip():

@@ -16,7 +16,7 @@ from catborel.ideals import BasicIdeal
 from catborel.loopalgebra import Span, TruncatedLoopAlgebra
 from catborel.matrices import ExactMatrix
 from catborel.rootsys import FiniteRootSystem, WindowPoset, WindowRoot, build_root_system, window
-from catborel.supports import LevelledSupport, SupportQuadruple
+from catborel.supports import SupportQuadruple
 from catborel.verify import Check
 from test_properties import dyck_words
 
@@ -39,7 +39,6 @@ BUILDERS = {
     "WindowRoot": lambda k: WindowRoot((1, k), 0),
     "WindowPoset": lambda k: window(build_root_system(("A2", "B2")[k])),
     "SupportQuadruple": lambda k: _quadruple(("rrff", "rfrf")[k]),
-    "LevelledSupport": lambda k: LevelledSupport(1 + k, _quadruple()),
     "TruncatedLoopAlgebra": lambda k: _algebra((("upper", "lower_diag"), ("upper", "full"))[k]),
     "Span": lambda k: Span(_algebra(), frozenset({(0, 1, 2 + k)}), {1: [(1, -1, 0)]}),
     "Check": lambda k: Check("dyck", "name", bool(k), "detail"),
@@ -53,7 +52,6 @@ FIELDS = {
     "WindowRoot": "level",
     "WindowPoset": "closure",
     "SupportQuadruple": "q_prime",
-    "LevelledSupport": "level",
     "TruncatedLoopAlgebra": "masks",
     "Span": "units",
     "Check": "ok",
@@ -129,7 +127,6 @@ def test_dyck_path_statistics_stay_cached():
         lambda: DyckPath("rxrf"),
         lambda: DyckPath(""),
         lambda: SupportQuadruple(2, pyramid(2), pyramid(2), pyramid(2), pyramid(3)),
-        lambda: LevelledSupport(0, _quadruple()),
         lambda: WindowRoot((1, 0), 2),
         lambda: TruncatedLoopAlgebra(3, ("upper", "diag")),
         lambda: TruncatedLoopAlgebra(0, ("full",)),
@@ -141,7 +138,7 @@ def test_dyck_path_statistics_stay_cached():
     ],
     ids=[
         "dyck-below-axis", "dyck-bad-step", "dyck-empty", "quadruple-semilength",
-        "level-zero", "window-level-two", "unknown-mask", "algebra-n-zero",
+        "window-level-two", "unknown-mask", "algebra-n-zero",
         "span-diagonal-unit", "span-masked-unit", "inadmissible-pair",
         "negative-entry", "not-square",
     ],

@@ -11,7 +11,20 @@ def test_run_suites_refuses_max_n_below_two():
 
 def test_supports_suite_fails_when_classify_rejects_everything(monkeypatch):
     # at the smallest allowed max-n the supports checks still see n = 2
-    monkeypatch.setattr(supports, "classify", lambda t: None)
+    # and a rejected quadruple fails the witness checks instead of raising
+    monkeypatch.setattr(supports, "classify", lambda p, q, p_prime, q_prime: None)
     checks = verify.run_suites(("supports",), max_n=2)
     failed = {c.name for c in checks if not c.ok}
-    assert {"full_product_scan", "witness_brackets", "basic_ideal_embedding"} <= failed
+    assert {
+        "full_product_scan", "witness_brackets", "basic_ideal_embedding", "level_two_witnesses"
+    } <= failed
+
+
+def test_bracket_checks_fail_on_naive_witnesses(monkeypatch):
+    # the layers at face value, with full Cartans at both degrees, are
+    # stable at n <= 2 but not for some shape I and II quadruples at n = 3,
+    # at level one or level two
+    monkeypatch.setattr(supports, "build_witness", supports.assemble_naive_span)
+    checks = verify.run_suites(("supports",), max_n=3)
+    failed = {c.name for c in checks if not c.ok}
+    assert failed == {"witness_brackets", "level_two_witnesses"}
