@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import lru_cache
 
 # Each command imports the modules it runs when it runs, so that start-up
 # loads only those: ``bn`` needs no Dyck path and no root system.
@@ -124,7 +125,9 @@ def cmd_bn(args) -> int:
     return 0
 
 
-def _pairs_json(pairs) -> str:
+@lru_cache(maxsize=None)
+def _pairs_json(pairs: tuple[tuple[int, int], ...]) -> str:
+    """Rendered once per interval tuple, which a path's records share."""
     if not pairs:
         return "[]"
     body = ",\n".join(f"      [\n        {i},\n        {j}\n      ]" for i, j in pairs)
@@ -183,8 +186,7 @@ def cmd_quasi_abelian(args) -> int:
 def cmd_qnd_histogram(args) -> int:
     from . import ideals
 
-    hist = Counter(ideals.qnd_from_plus_degree(b) for b in ideals.basic_ideals(args.n))
-    pairs = sorted(hist.items())
+    pairs = sorted(ideals.qnd_histogram(args.n).items())
     if args.format == "json":
         _emit(_json_dump({"n": args.n, "histogram": [{"qnd": k, "count": v} for k, v in pairs]}), args.out)
     else:

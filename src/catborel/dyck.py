@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from operator import le
 
 from .frozen import Frozen
 
@@ -98,13 +99,14 @@ class DyckPath(Frozen):
             (x, self.heights[x]) for x in range(1, len(w)) if w[x - 1] == FALL and w[x] == RISE
         )
 
+    # the first peak ends the leading rises, the last starts the final falls
     @property
     def first_peak(self) -> int:
-        return self.peaks[0][1]
+        return len(self.word) - len(self.word.lstrip(RISE))
 
     @property
     def last_peak(self) -> int:
-        return self.peaks[-1][1]
+        return len(self.word) - len(self.word.rstrip(FALL))
 
 
 def peaks_at_least(p: DyckPath, height: int) -> int:
@@ -136,7 +138,7 @@ def path_leq(p: DyckPath, q: DyckPath) -> bool:
     """True when q never goes below p (pointwise height comparison)."""
     if p.semilength != q.semilength:
         raise ValueError("paths must have equal semilength")
-    return all(hp <= hq for hp, hq in zip(p.heights, q.heights))
+    return all(map(le, p.heights, q.heights))
 
 
 def _walk(head: str, height: int, steps: int, target: int, tail: str) -> tuple[DyckPath, ...]:

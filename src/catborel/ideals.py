@@ -19,8 +19,8 @@ separates present boxes from absent ones.  The pairs of paths that
 arise this way are exactly those passing the peak-threshold test of
 :func:`is_admissible`, and equivalently those with ``q`` above the
 ``min_partner`` of ``p``.  :class:`BasicIdeal` is that Dyck pair
-(:func:`phi` reads it off) and derives each interval set once per path:
-``s_plus`` from ``p`` alone, ``s_minus`` from ``q`` alone.
+(:func:`phi` reads it off); what its invariants need is kept in a table
+per path, ``s_plus`` side from ``p`` alone, ``s_minus`` side from ``q``.
 
 On top of the encoding sit the counting formulas (the cell sums and
 the transfer DP that check the conjectural closed forms of
@@ -35,7 +35,9 @@ counting ideals does not load it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
+from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING
 
 from .dyck import DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, peaks_at_least
@@ -51,12 +53,6 @@ Interval = tuple[int, int]
 def intervals(n: int) -> list[Interval]:
     """All positive-root intervals of rank n - 1, sorted."""
     return [(i, j) for i in range(1, n) for j in range(i, n)]
-
-
-def _check_interval(n: int, iv: Interval) -> None:
-    i, j = iv
-    if not (1 <= i <= j <= n - 1):
-        raise ValueError(f"interval {iv} outside 1..{n - 1}")
 
 
 def _contains(outer: Interval, inner: Interval) -> bool:
@@ -161,68 +157,101 @@ def _interval_of_coords(coords: tuple[int, ...]) -> Interval:
 def plus_path(n: int, s_plus) -> DyckPath:
     """Path tracing the staircase below the s_plus boxes: the i-th fall of
     the word is preceded by n - (number of intervals starting at i) rises."""
-    ivs = set(s_plus)
-    starts = [0] * (n + 1)
-    for i, j in ivs:
-        _check_interval(n, (i, j))
-        starts[i] += 1
-    word = []
-    prev = 0
-    for i in range(1, n + 1):
-        d = n - starts[i]
-        # per start index the right endpoints must fill the top suffix
-        if d < prev or any((i, j) not in ivs for j in range(d, n)):
-            raise ValueError("interval set is not upward closed")
-        word.append("r" * (d - prev) + "f")
-        prev = d
-    return DyckPath("".join(word))
+    return _grid_path(n, s_plus, lambda i, k: n - k, "s_plus", "upward closed")
 
 
 def minus_path(n: int, s_minus) -> DyckPath:
     """Path tracing the staircase below the s_minus boxes: the j-th fall is
     preceded by j + (number of intervals starting at j) rises."""
-    ivs = set(s_minus)
+    return _grid_path(n, s_minus, lambda j, k: j + k, "s_minus", "subinterval closed")
+
+
+def _grid_path(n: int, ivs, rises_at, field: str, closure: str) -> DyckPath:
+    """The path whose i-th fall follows rises_at(i, k) rises, k the number
+    of intervals starting at i, once its table lists exactly ivs."""
+    ivs = set(ivs)
     starts = [0] * (n + 1)
-    for i, j in ivs:
-        _check_interval(n, (i, j))
-        starts[i] += 1
-    word = []
-    prev = 0
-    for j in range(1, n + 1):
-        d = j + starts[j]
-        # per start index the right endpoints must fill the bottom prefix
-        if d < prev or any((j, j + k) not in ivs for k in range(starts[j])):
-            raise ValueError("interval set is not subinterval closed")
-        word.append("r" * (d - prev) + "f")
-        prev = d
-    return DyckPath("".join(word))
+    for iv in ivs:
+        if not 1 <= iv[0] <= iv[1] <= n - 1:
+            raise ValueError(f"interval {iv} outside 1..{n - 1}")
+        starts[iv[0]] += 1
+    depth = [rises_at(i, starts[i]) for i in range(1, n + 1)]
+    if depth == sorted(depth):
+        path = DyckPath("".join("r" * (d - c) + "f" for c, d in zip([0] + depth, depth)))
+        if set(getattr(_table(path), field)) == ivs:
+            return path
+    raise ValueError(f"interval set is not {closure}")
 
 
-def _rises_before_falls(p: DyckPath) -> list[int]:
-    out = []
-    rises = 0
-    for step in p.word:
-        if step == "r":
-            rises += 1
-        else:
-            out.append(rises)
-    return out
+class _PathTable:
+    """What the basic ideals on a Dyck path read of it, as p or as q, kept
+    once per path by ``_table``: per pair an invariant then costs a few
+    integer comparisons.  Bit sets hold (i, j) at bit (i - 1) * n + j."""
+
+    __slots__ = ("path", "first_peak", "last_peak", "valleys", "depth", "minus_bits", "__dict__")
+
+    def __init__(self, path: DyckPath) -> None:
+        n = path.semilength
+        self.path = path
+        self.first_peak = path.first_peak
+        self.last_peak = path.last_peak
+        self.valleys = path.word.count("fr")
+        # the number of rises before each fall, and s_minus as a bit set
+        self.depth = depth = tuple(accumulate(map(len, path.word.split("f")[:-1])))
+        self.minus_bits = sum(((1 << d) - (2 << k)) << (k * n) for k, d in enumerate(depth[:-1]))
+
+    @cached_property
+    def s_plus(self) -> tuple[Interval, ...]:
+        """Sorted: from each start i, the right ends from depth[i - 1] on."""
+        n, depth = self.path.semilength, self.depth
+        return tuple((i, j) for i in range(1, n) for j in range(depth[i - 1], n))
+
+    @cached_property
+    def s_minus(self) -> tuple[Interval, ...]:
+        """Sorted: from each start i, the right ends below depth[i - 1]."""
+        n, depth = self.path.semilength, self.depth
+        return tuple((i, j) for i in range(1, n) for j in range(i, depth[i - 1]))
+
+    @cached_property
+    def thresholds(self) -> tuple[tuple[int, ...], ...]:
+        """The nonempty powers of the degree-zero part, s_plus first: power
+        k holds (i, r) exactly when r >= thresholds[k][i - 1] (n: none).
+
+        Power k holds the sums of k + 1 consecutive members of s_plus.
+        s_plus is closed under superintervals, and its least right end
+        depth[s - 1] from start s does not fall as s grows, so a greedy
+        cut is exact: if power k - 1 from i ends least at r, power k from
+        i ends least where the least member from r + 1 ends, since any
+        other split ends its first k members at r or later."""
+        n = self.path.semilength
+        row = self.depth[: n - 1]
+        after = row + (n, n)  # after[r]: the least member from r + 1
+        out = []
+        while row and row[0] < n:
+            out.append(row)
+            row = tuple(map(after.__getitem__, row))
+        return tuple(out)
+
+    @cached_property
+    def top_power_bits(self) -> int:
+        """The last nonempty power as a bit set; 0 when there is none."""
+        n, rows = self.path.semilength, self.thresholds
+        return sum(((1 << n) - (1 << t)) << (k * n) for k, t in enumerate(rows[-1] if rows else ()))
+
+    @cached_property
+    def tall_peaks(self) -> int:
+        return peaks_at_least(self.path, 2)
 
 
-@lru_cache(maxsize=None)
+_table = lru_cache(maxsize=None)(_PathTable)
+
+
 def plus_intervals(p: DyckPath) -> frozenset[Interval]:
-    n = p.semilength
-    depth = _rises_before_falls(p)
-    return frozenset((i, j) for i in range(1, n) for j in range(depth[i - 1], n))
+    return frozenset(_table(p).s_plus)
 
 
-@lru_cache(maxsize=None)
 def minus_intervals(q: DyckPath) -> frozenset[Interval]:
-    n = q.semilength
-    depth = _rises_before_falls(q)
-    return frozenset(
-        (j, j + k) for j in range(1, n) for k in range(depth[j - 1] - j)
-    )
+    return frozenset(_table(q).s_minus)
 
 
 def phi(b: BasicIdeal) -> tuple[DyckPath, DyckPath]:
@@ -369,12 +398,13 @@ def generators_formula(b: BasicIdeal) -> int:
     Each correction applies only when the coinciding peak has height at
     least two, i.e. only when that peak was actually counted.
     """
-    if not b.s_plus and not b.s_minus:
+    tp, tq = _table(b.p), _table(b.q)
+    if not tp.s_plus and not tq.s_minus:
         return 1
     n = b.n
-    a, bb = b.p.first_peak, b.p.last_peak
-    c, d = b.q.first_peak, b.q.last_peak
-    count = len(b.p.valleys) + peaks_at_least(b.q, 2)
+    a, bb = tp.first_peak, tp.last_peak
+    c, d = tq.first_peak, tq.last_peak
+    count = tp.valleys + tq.tall_peaks
     if d == n - a and n - a >= 2:
         count -= 1
     if c == n - bb and n - bb >= 2:
@@ -450,26 +480,9 @@ def _below_pairs(n: int, c: int, d: int) -> int:
     return ways.get((0, 0), 0)
 
 
-@lru_cache(maxsize=None)
-def _plus_power_supports(p: DyckPath) -> tuple[frozenset[Interval], ...]:
-    """Supports of the lower central series of the degree-zero part of the
-    ideals with plus path p, from the first power down to the empty one."""
-    s_plus = plus_intervals(p)
-    out = [s_plus]
-    while out[-1]:
-        nxt = set()
-        for alpha in out[-1]:
-            for beta in s_plus:
-                s = _sum_root(alpha, beta)
-                if s is not None:
-                    nxt.add(s)
-        out.append(frozenset(nxt))
-    return tuple(out)
-
-
 def nd_plus(b: BasicIdeal) -> int:
     """Nilpotency degree of the degree-zero part at root level."""
-    return len(_plus_power_supports(b.p)) - 1
+    return len(_table(b.p).thresholds)
 
 
 def qnd_direct(b: BasicIdeal) -> int:
@@ -485,10 +498,8 @@ def qnd_direct(b: BasicIdeal) -> int:
     n = b.n
     if n == 1:
         return 1
-    plus0 = b.s_plus
-    minus0 = b.s_minus
-    p_cur: frozenset[Interval] = frozenset(plus0)
-    n_cur: frozenset[Interval] = frozenset(minus0)
+    plus0 = p_cur = b.s_plus
+    minus0 = n_cur = b.s_minus
     cartan = True  # the full Cartan at the start
     m = 0
     while p_cur or n_cur or cartan:
@@ -516,11 +527,25 @@ def qnd_from_plus_degree(b: BasicIdeal) -> int:
     it is 1 when m = 0, and otherwise m unless some member of s_minus
     also lies in the support of the (m-1)-st power of the degree-zero
     part, in which case it is m + 1."""
-    powers = _plus_power_supports(b.p)
-    m = len(powers) - 1
-    if m == 0:
-        return 1
-    return m + 1 if powers[m - 1] & b.s_minus else m
+    return _qnd(_table(b.p), _table(b.q))
+
+
+def _qnd(tp: _PathTable, tq: _PathTable) -> int:
+    """:func:`qnd_from_plus_degree` from the tables of p and q.  Row i of
+    the last power holds the right ends from its threshold on, row i of
+    s_minus those below depth[i - 1]: one AND of bit sets tests them.
+    With no power, m and its bit set are 0, and the degree is 1."""
+    m = len(tp.thresholds)
+    return m + 1 if tp.top_power_bits & tq.minus_bits else max(m, 1)
+
+
+def qnd_histogram(n: int) -> Counter[int]:
+    """How many basic ideals of semilength n have each quasi-nilpotency
+    degree, read per pair from the two path tables: no ideal is built."""
+    hist: Counter[int] = Counter()
+    for p in all_paths(n):
+        hist.update(map(_qnd, repeat(_table(p)), map(_table, partners(p))))
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +591,13 @@ def basic_ideals(n: int) -> tuple[BasicIdeal, ...]:
 
 
 def ideal_record(b: BasicIdeal) -> dict:
-    """JSON-ready record of one basic ideal and its invariants."""
+    """JSON-ready record of one basic ideal; its interval tuples are shared per path."""
     return {
         "n": b.n,
         "p": b.p.word,
         "q": b.q.word,
-        "s_plus": [list(iv) for iv in sorted(b.s_plus)],
-        "s_minus": [list(iv) for iv in sorted(b.s_minus)],
+        "s_plus": _table(b.p).s_plus,
+        "s_minus": _table(b.q).s_minus,
         "generators": generators_formula(b),
         "quasi_abelian": is_quasi_abelian(b),
         "nd_plus": nd_plus(b),

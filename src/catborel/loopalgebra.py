@@ -22,6 +22,7 @@ fraction-free in integers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .frozen import Frozen
@@ -225,13 +226,19 @@ def one_degree_up(span: Span) -> Span:
 
 def stable_under(span: Span) -> bool:
     """True when the bracket of every Borel generator of the span's
-    algebra with every span basis element stays inside the span."""
-    basis = span.basis_elements()
-    for g in borel_generators(span.algebra):
-        for x in basis:
-            if not span.contains(span.algebra.bracket(g, x)):
-                return False
-    return True
+    algebra with every span basis element stays inside the span.  Those
+    with a unit are read from a table per algebra, not recomputed."""
+    alg = span.algebra
+    diagonal = span.basis_elements()[len(span.units):]
+    return all(all(map(span.contains, _unit_brackets(alg, key))) for key in span.units) and all(
+        span.contains(alg.bracket(g, x)) for g in borel_generators(alg) for x in diagonal
+    )
+
+
+@lru_cache(maxsize=None)
+def _unit_brackets(algebra: TruncatedLoopAlgebra, key) -> tuple[Element, ...]:
+    """The brackets of the Borel generators with the unit at key."""
+    return tuple(algebra.bracket(g, {key: 1}) for g in borel_generators(algebra))
 
 
 def borel_generators(algebra: TruncatedLoopAlgebra) -> list[Element]:

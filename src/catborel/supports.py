@@ -22,6 +22,7 @@ matrix brackets by ``verify_witness``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .dyck import (
@@ -201,6 +202,7 @@ def _corner_path(n: int) -> DyckPath:
 # classifying quadruples does not load it.
 
 
+@lru_cache(maxsize=None)
 def _witness_algebra(n: int) -> TruncatedLoopAlgebra:
     from .loopalgebra import TruncatedLoopAlgebra
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from catborel.ideals import (
     plus_path,
     qnd_direct,
     qnd_from_plus_degree,
+    qnd_histogram,
     quasi_abelian_count,
     support_span,
     verify_basic_in_truncation,
@@ -406,16 +408,35 @@ def test_truncation_oracle_negative_controls():
     )
 
 
-def fresh_nd_plus(s_plus):
-    """Nilpotency degree of the degree-zero part, by bracketing interval
+def fresh_powers(s_plus):
+    """The nonempty powers of the degree-zero part, by bracketing interval
     sets directly: (a, b) + (c, d) is a root exactly when the two abut."""
-    power, degree = set(s_plus), 0
+    power, powers = set(s_plus), []
     while power:
+        powers.append(power)
         power = {(a, d) for a, b in power for c, d in s_plus if b + 1 == c} | {
             (c, b) for a, b in power for c, d in s_plus if d + 1 == a
         }
-        degree += 1
-    return degree
+    return powers
+
+
+def fresh_nd_plus(s_plus):
+    """Nilpotency degree of the degree-zero part: its number of nonempty
+    powers."""
+    return len(fresh_powers(s_plus))
+
+
+def test_qnd_histogram_matches_the_oracle_and_the_per_pair_degree():
+    for n in range(1, 7):
+        assert qnd_histogram(n) == Counter(qnd_direct(b) for b in basic_ideals(n)), n
+    for n in range(7, 9):
+        assert qnd_histogram(n) == Counter(map(qnd_from_plus_degree, basic_ideals(n))), n
+
+
+def test_qnd_histogram_counts_every_pair_once():
+    # n = 11 and 12 agree too, but hold 2.5 M and 10.5 M pairs
+    for n, b_n in b_sequence(10):
+        assert sum(qnd_histogram(n).values()) == b_n, n
 
 
 def test_record_fields_match_oracles_at_n7():
@@ -434,8 +455,8 @@ def test_ideal_record_shape():
         "n": 3,
         "p": "rfrfrf",
         "q": "rrrfff",
-        "s_plus": [[1, 1], [1, 2], [2, 2]],
-        "s_minus": [[1, 1], [1, 2], [2, 2]],
+        "s_plus": ((1, 1), (1, 2), (2, 2)),
+        "s_minus": ((1, 1), (1, 2), (2, 2)),
         "generators": 3,
         "quasi_abelian": False,
         "nd_plus": 2,

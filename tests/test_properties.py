@@ -29,6 +29,7 @@ from catborel.loopalgebra import Span, TruncatedLoopAlgebra
 from catborel.matrices import matrix, omega, tau
 from catborel.ideals import (
     BasicIdeal,
+    _table,
     is_admissible,
     nd_plus,
     phi,
@@ -37,7 +38,7 @@ from catborel.ideals import (
 )
 from catborel.supports import SupportQuadruple, classify, enumerate_classes
 from test_dyck import reflect
-from test_ideals import fresh_nd_plus
+from test_ideals import fresh_nd_plus, fresh_powers
 
 
 @st.composite
@@ -98,6 +99,15 @@ def test_cached_degrees_match_fresh_computation(pair):
     for _ in range(2):  # the second round reads the per-path cache
         assert nd_plus(b) == fresh_nd_plus(b.s_plus)
         assert qnd_from_plus_degree(b) == qnd_direct(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyck_paths())
+def test_power_thresholds_match_fresh_brackets(p):
+    n = p.semilength
+    thresholds = _table(p).thresholds
+    powers = [{(i, r) for i, t in enumerate(row, 1) for r in range(t, n)} for row in thresholds]
+    assert powers == fresh_powers(_table(p).s_plus)
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,8 +23,9 @@ def test_supports_suite_fails_when_classify_rejects_everything(monkeypatch):
 def test_bracket_checks_fail_on_naive_witnesses(monkeypatch):
     # the layers at face value, with full Cartans at both degrees, are
     # stable at n <= 2 but not for some shape I and II quadruples at n = 3,
-    # at level one or level two
+    # at level one or level two; both checks reach n = 3 even at max-n 2
     monkeypatch.setattr(supports, "build_witness", supports.assemble_naive_span)
-    checks = verify.run_suites(("supports",), max_n=3)
-    failed = {c.name for c in checks if not c.ok}
-    assert failed == {"witness_brackets", "level_two_witnesses"}
+    for max_n in (2, 3):
+        checks = verify.run_suites(("supports",), max_n=max_n)
+        failed = {c.name for c in checks if not c.ok}
+        assert failed == {"witness_brackets", "level_two_witnesses"}, max_n
