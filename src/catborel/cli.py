@@ -197,14 +197,17 @@ def cmd_qnd_histogram(args) -> int:
 def cmd_support_classes(args) -> int:
     from . import supports
 
+    if args.level is not None and args.format in ("table", "bfile"):
+        raise ValueError(f"--level is not printed by --format {args.format}; use json or csv")
+    level = args.level or 1
     classes = supports.enumerate_classes(args.n)
     if args.format == "json":
-        records = [supports.class_record(t, case, args.level) for t, case in classes]
+        records = [supports.class_record(t, case, level) for t, case in classes]
         _emit(_json_dump(records), args.out)
     elif args.format == "csv":
         counts = Counter(case for _, case in classes)
         body = "".join(
-            f"{args.n},{args.level},{case},{counts[case]}\n"
+            f"{args.n},{level},{case},{counts[case]}\n"
             for case in sorted(counts)
         )
         _emit("n,level,case,count\n" + body, args.out)
@@ -212,8 +215,11 @@ def cmd_support_classes(args) -> int:
         values = [(n, len(supports.enumerate_classes(n))) for n in range(1, args.n)]
         _emit_sequence(values + [(args.n, len(classes))], args)
     else:
-        lines = [" ".join(t.words()) + f" case={case}" for t, case in classes]
-        _emit("".join(line + "\n" for line in lines), args.out)
+        text = "".join(
+            f"{p.word} {q.word} {pp.word} {qp.word} case={case}\n"
+            for (p, q, pp, qp), case in classes
+        )
+        _emit(text, args.out)
     return 0
 
 
@@ -321,7 +327,8 @@ def build_parser() -> _Parser:
         help="level-normalized support classes",
     )
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--level", type=positive_int, default=1)
+    # None: json and csv print level 1, table and bfile refuse the flag
+    p.add_argument("--level", type=positive_int, default=None)
 
     p = command(
         "split-search", cmd_split_search, ("table", "json"),

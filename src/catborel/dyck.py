@@ -114,8 +114,9 @@ def peaks_at_least(p: DyckPath, height: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def valley_xs_at_height(p: DyckPath, height: int) -> frozenset[int]:
-    return frozenset(x for x, h in p.valleys if h == height)
+def floor_valleys(p: DyckPath) -> frozenset[int]:
+    """x-coordinates of the valleys at height 0."""
+    return frozenset(x for x, h in p.valleys if h == 0)
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +246,7 @@ def floor_gap_points(p: DyckPath) -> frozenset[int]:
     """Even x-coordinates 2m, 0 < 2m < 2n, whose triple {2m-2, 2m, 2m+2}
     is not fully covered by height-0 valleys and the two endpoints."""
     n = p.semilength
-    pinned = set(valley_xs_at_height(p, 0)) | {0, 2 * n}
+    pinned = floor_valleys(p) | {0, 2 * n}
     return frozenset(
         2 * m
         for m in range(1, n)

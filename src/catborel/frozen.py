@@ -7,7 +7,8 @@ deleting an attribute raises ``AttributeError``.  Two values are equal
 when they are of the same class and their fields are equal, and a value
 hashes as the tuple of its fields.  A class whose slots also hold
 something derived from the fields (a cache, a lookup set) overrides
-``_fields`` to return the ``__init__`` arguments alone.
+``_fields`` to return the ``__init__`` arguments alone.  Values are
+not copied or pickled: since assignment raises, neither can rebuild one.
 
 The module imports nothing, so building values costs a command no
 start-up time beyond this file.
@@ -38,7 +39,3 @@ class Frozen:
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild a value through __init__, which validates
-        return type(self), self._fields()

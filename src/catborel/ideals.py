@@ -552,15 +552,24 @@ def qnd_histogram(n: int) -> Counter[int]:
 # matrix oracle
 
 
+def layer_units(s_plus, s_minus, degree: int) -> frozenset[tuple[int, int, int]]:
+    """Matrix units (degree, row, column) of a positive layer at loop
+    degree ``degree`` and a negative layer one degree up: the root (i, j)
+    is the unit at row i, column j + 1, and its negative the transpose."""
+    plus = [(degree, i, j + 1) for i, j in s_plus]
+    minus = [(degree + 1, j + 1, i) for i, j in s_minus]
+    return frozenset(plus + minus)
+
+
 def support_span(n: int, s_plus, s_minus, include_delta: bool = True) -> Span:
     """The candidate span of two interval sets in the two-degree quotient:
     unit matrices for the real roots, and the full Cartan at degree one
     for delta."""
     from .loopalgebra import Span, TruncatedLoopAlgebra, cartan_basis
 
-    units = {(0, i, j + 1) for i, j in s_plus} | {(1, j + 1, i) for i, j in s_minus}
+    alg = TruncatedLoopAlgebra(n, ("upper", "lower_diag"))
     diag = {1: cartan_basis(n)} if include_delta else {}
-    return Span(TruncatedLoopAlgebra(n, ("upper", "lower_diag")), frozenset(units), diag)
+    return Span(alg, layer_units(s_plus, s_minus, 0), diag)
 
 
 def verify_basic_in_truncation(b: BasicIdeal) -> bool:

@@ -292,7 +292,7 @@ def suite_supports(max_n: int) -> list[Check]:
 
     bound6 = min(max_n, 6)
     restr_ok = all(
-        supports.check_layer_restrictions(t)
+        supports.check_layer_restrictions(*t)
         for n in range(2, bound6 + 1)
         for t, _ in supports.enumerate_classes(n)
     )
@@ -303,13 +303,12 @@ def suite_supports(max_n: int) -> list[Check]:
     # shapes I and II fail first at n = 3, so both bracket checks reach it.
     wit_bound = max(bound4, 3)
     wit_ok = all(
-        supports.classify(t.p, t.q, t.p_prime, t.q_prime) == case and supports.verify_witness(t)
+        supports.classify(*t) == case and supports.verify_witness(*t)
         for n in range(1, wit_bound + 1)
         for t, case in supports.enumerate_classes(n)
     )
     q2 = dyck.staircase(2)
-    all_staircase = supports.SupportQuadruple(2, q2, q2, q2, q2)
-    control = not loopalgebra.stable_under(supports.assemble_naive_span(all_staircase))
+    control = not loopalgebra.stable_under(supports.assemble_naive_span(q2, q2, q2, q2))
     out.append(Check("supports", "witness_brackets", wit_ok and control, f"n<={wit_bound}"))
 
     embed_ok = all(
@@ -322,13 +321,13 @@ def suite_supports(max_n: int) -> list[Check]:
     # the level only translates a support, so each witness moved one loop
     # degree up must stay stable in a truncation one degree longer
     level_ok = all(
-        supports.classify(t.p, t.q, t.p_prime, t.q_prime) == case
-        and loopalgebra.stable_under(loopalgebra.one_degree_up(supports.build_witness(t)))
+        supports.classify(*t) == case
+        and loopalgebra.stable_under(loopalgebra.one_degree_up(supports.build_witness(*t)))
         for n in range(1, 4)
         for t, case in supports.enumerate_classes(n)
     )
     level_control = not loopalgebra.stable_under(
-        loopalgebra.one_degree_up(supports.assemble_naive_span(all_staircase))
+        loopalgebra.one_degree_up(supports.assemble_naive_span(q2, q2, q2, q2))
     )
     out.append(
         Check(

@@ -197,7 +197,7 @@ def _exclusivity_scan(n):
         x: (
             x == top,
             x == bottom,
-            frozenset(dyck.valley_xs_at_height(x, 0)),
+            dyck.floor_valleys(x),
             dyck.floor_gap_points(x),
             dyck.min_partner(x),
         )
@@ -249,10 +249,10 @@ def test_criterion_12_support_classification():
         assert multi == 0
         for n in range(2, 7):
             for t, _ in supports.enumerate_classes(n):
-                assert supports.check_layer_restrictions(t)
+                assert supports.check_layer_restrictions(*t)
         for n in range(1, 5):
             for t, _ in supports.enumerate_classes(n):
-                assert supports.verify_witness(t)
+                assert supports.verify_witness(*t)
 
 
 def test_criterion_13_truncation_oracle():
@@ -266,7 +266,7 @@ def test_criterion_13_truncation_oracle():
         )
         q2 = dyck.staircase(2)
         assert not loopalgebra.stable_under(
-            supports.assemble_naive_span(supports.SupportQuadruple(2, q2, q2, q2, q2))
+            supports.assemble_naive_span(q2, q2, q2, q2)
         )
 
 

@@ -161,6 +161,24 @@ def test_support_classes_json_n1_case_null():
     ]
 
 
+@pytest.mark.parametrize("fmt", ["table", "bfile"])
+def test_support_classes_level_refused_where_not_printed(fmt):
+    code, out, err = run_cli("support-classes", "--n", "3", "--level", "2", "--format", fmt)
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("catborel: error: --level ")
+
+
+def test_support_classes_level_printed_by_json_and_csv():
+    code, out, _ = run_cli("support-classes", "--n", "2", "--level", "3", "--format", "csv")
+    assert code == 0
+    assert {line.split(",")[1] for line in out.splitlines()[1:]} == {"3"}
+    code, out, _ = run_cli("support-classes", "--n", "2", "--level", "3", "--format", "json")
+    assert code == 0
+    assert {record["level"] for record in json.loads(out)} == {3}
+
+
 def test_enumerate_basic_table_lines():
     # the four semilength-2 ideals: full plus-layer alone, the full
     # ideal, the minimum ideal, and the full minus-layer alone

@@ -15,12 +15,12 @@ from catborel.dyck import (
     cell_min,
     cell_paths,
     floor_gap_points,
+    floor_valleys,
     min_partner,
     path_leq,
     peaks_at_least,
     pyramid,
     staircase,
-    valley_xs_at_height,
 )
 from catborel.matrices import catalan_matrix
 
@@ -251,7 +251,9 @@ def test_floor_gap_points():
 def test_floor_gap_points_against_direct_set_computation():
     for n in range(1, 7):
         for p in all_paths(n):
-            pinned = set(valley_xs_at_height(p, 0)) | {0, 2 * n}
+            floor = {x for x, h in p.valleys if h == 0}
+            assert floor_valleys(p) == floor
+            pinned = floor | {0, 2 * n}
             expect = set()
             for m in range(1, n):
                 triple = {2 * m - 2, 2 * m, 2 * m + 2}

@@ -36,7 +36,7 @@ from catborel.ideals import (
     qnd_direct,
     qnd_from_plus_degree,
 )
-from catborel.supports import SupportQuadruple, classify, enumerate_classes
+from catborel.supports import classify, enumerate_classes
 from test_dyck import reflect
 from test_ideals import fresh_nd_plus, fresh_powers
 
@@ -145,7 +145,7 @@ def listed_classes(n):
     by_case = {}
     for t, case in enumerate_classes(n):
         by_case.setdefault(case, []).append(t)
-    cases = {t.words(): case for case, ts in by_case.items() for t in ts}
+    cases = {tuple(p.word for p in t): case for case, ts in by_case.items() for t in ts}
     return tuple(tuple(ts) for ts in by_case.values()), cases
 
 
@@ -155,7 +155,7 @@ def base_quadruples(draw, n):
     members), or four random paths."""
     if draw(st.booleans()):
         return draw(st.sampled_from(draw(st.sampled_from(listed_classes(n)[0]))))
-    return SupportQuadruple(n, *(DyckPath(draw(dyck_words(n))) for _ in range(4)))
+    return tuple(DyckPath(draw(dyck_words(n))) for _ in range(4))
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,9 +165,10 @@ def test_classify_accepts_exactly_the_listed_classes(drawn):
     drawn slot: classify accepts the listed ones with their case and
     rejects the rest."""
     t, slot = drawn
-    cases = listed_classes(t.n)[1]
-    paths = [t.p, t.q, t.p_prime, t.q_prime]
-    for path in all_paths(t.n):
+    n = t[0].semilength
+    cases = listed_classes(n)[1]
+    paths = list(t)
+    for path in all_paths(n):
         paths[slot] = path
         words = tuple(p.word for p in paths)
         assert classify(*paths) == cases.get(words), words

@@ -6,36 +6,46 @@ from catborel import ideals
 from catborel.dyck import DyckPath, all_paths, pyramid, staircase
 from catborel.loopalgebra import one_degree_up, stable_under
 from catborel.supports import (
-    SupportQuadruple,
     assemble_naive_span,
     build_witness,
     check_layer_restrictions,
     class_record,
     classify,
     enumerate_classes,
-    layer_intervals,
     verify_witness,
 )
 
 CLASS_COUNTS = [1, 4, 21, 100, 455]
 
 
-def quad(n, p, q, pp, qp):
-    return SupportQuadruple(n, DyckPath(p), DyckPath(q), DyckPath(pp), DyckPath(qp))
+def quad(*words):
+    return tuple(map(DyckPath, words))
+
+
+def words(t):
+    return tuple(p.word for p in t)
 
 
 def classify_words(*words):
-    return classify(*map(DyckPath, words))
+    return classify(*quad(*words))
 
 
 def test_semilength_mismatch_rejected():
-    with pytest.raises(ValueError):
-        SupportQuadruple(2, pyramid(2), pyramid(2), pyramid(2), pyramid(3))
+    # an accepted quadruple with one path made longer is refused by every
+    # function that takes a quadruple
     for slot in range(4):
-        paths = [pyramid(2)] * 4
+        paths = [pyramid(2), staircase(2), staircase(2), pyramid(2)]
         paths[slot] = pyramid(3)
-        with pytest.raises(ValueError):
-            classify(*paths)
+        for fn in (classify, check_layer_restrictions, build_witness, assemble_naive_span):
+            with pytest.raises(ValueError):
+                fn(*paths)
+
+
+def test_quadruple_is_passed_as_four_paths():
+    t, _ = enumerate_classes(2)[0]
+    with pytest.raises(TypeError):
+        verify_witness(t)
+    assert verify_witness(*t)
 
 
 def test_classify_spot_examples():
@@ -49,9 +59,9 @@ def test_single_quadruple_at_semilength_one():
     classes = enumerate_classes(1)
     assert len(classes) == 1
     t, case = classes[0]
-    assert t.words() == ("rf", "rf", "rf", "rf")
+    assert words(t) == ("rf", "rf", "rf", "rf")
     assert case == "unique"
-    assert classify(t.p, t.q, t.p_prime, t.q_prime) == "unique"
+    assert classify(*t) == "unique"
 
 
 def test_class_counts_pinned():
@@ -71,9 +81,9 @@ def test_case_one_count_is_catalan():
 
 def test_enumeration_is_sorted_and_unique():
     for n in (2, 3, 4):
-        words = [t.words() for t, _ in enumerate_classes(n)]
-        assert words == sorted(words)
-        assert len(set(words)) == len(words)
+        listed = [words(t) for t, _ in enumerate_classes(n)]
+        assert listed == sorted(listed)
+        assert len(set(listed)) == len(listed)
 
 
 def _classify_candidates(n):
@@ -97,7 +107,7 @@ def test_enumeration_matches_brute_force_classify():
             case = classify(*paths)
             if case is not None:
                 expected[tuple(p.word for p in paths)] = case
-        got = {t.words(): case for t, case in enumerate_classes(n)}
+        got = {words(t): case for t, case in enumerate_classes(n)}
         assert got == expected
 
 
@@ -107,8 +117,8 @@ def test_cases_mutually_exclusive():
     for n in (2, 3, 4):
         paths = all_paths(n)
         top, bottom = pyramid(n), staircase(n)
-        for t, case in enumerate_classes(n):
-            flags = (t.p == top, t.q == bottom)
+        for (p, q, _, _), case in enumerate_classes(n):
+            flags = (p == top, q == bottom)
             if case == "I" or case == "II":
                 assert flags == (True, True)
             elif case == "III":
@@ -120,41 +130,41 @@ def test_cases_mutually_exclusive():
 def test_layer_restrictions_hold_on_accepted():
     for n in range(2, 7):
         for t, _ in enumerate_classes(n):
-            assert check_layer_restrictions(t), t.words()
+            assert check_layer_restrictions(*t), words(t)
 
 
 def test_layer_restrictions_designed_failures():
     # trailing negative layer not full although the leading one is nonzero
-    assert not check_layer_restrictions(quad(2, "rfrf", "rfrf", "rfrf", "rfrf"))
+    assert not check_layer_restrictions(*quad("rfrf", "rfrf", "rfrf", "rfrf"))
     # primed negative layer trivial
-    assert not check_layer_restrictions(quad(2, "rrff", "rfrf", "rfrf", "rfrf"))
+    assert not check_layer_restrictions(*quad("rrff", "rfrf", "rfrf", "rfrf"))
 
 
 def test_witnesses_verify():
     for n in range(1, 5):
         for t, _ in enumerate_classes(n):
-            assert verify_witness(t), t.words()
+            assert verify_witness(*t), words(t)
 
 
 def test_witnesses_verify_at_next_size():
     # one size past the acceptance bound, as extra assurance
     for t, _ in enumerate_classes(5):
-        assert verify_witness(t), t.words()
+        assert verify_witness(*t), words(t)
 
 
 def test_witness_refused_for_rejected_quadruple():
     with pytest.raises(ValueError):
-        build_witness(quad(2, "rfrf", "rfrf", "rfrf", "rfrf"))
+        build_witness(*quad("rfrf", "rfrf", "rfrf", "rfrf"))
 
 
 def test_naive_span_negative_control():
-    span = assemble_naive_span(quad(2, "rfrf", "rfrf", "rfrf", "rfrf"))
+    span = assemble_naive_span(*quad("rfrf", "rfrf", "rfrf", "rfrf"))
     assert not stable_under(span)
     assert not stable_under(one_degree_up(span))
 
 
 def test_witness_span_contents_smallest_case():
-    span = build_witness(quad(2, "rrff", "rfrf", "rfrf", "rrff"))
+    span = build_witness(*quad("rrff", "rfrf", "rfrf", "rrff"))
     # imaginary component at degree one is the single dual-basis line
     assert span.diagonals[1] == [(1, -1)]
     # full trailing negative layer and the degree-two imaginary space
@@ -174,24 +184,36 @@ def test_class_count_is_level_independent():
     # degree up stays stable in the truncation one degree longer
     for n in range(1, 5):
         for t, _ in enumerate_classes(n):
-            assert stable_under(one_degree_up(build_witness(t))), t.words()
+            assert stable_under(one_degree_up(build_witness(*t))), words(t)
 
 
 def test_level_shift_round_trip():
-    span = build_witness(quad(2, "rrff", "rfrf", "rfrf", "rrff"))
+    span = build_witness(*quad("rrff", "rfrf", "rfrf", "rrff"))
     up = one_degree_up(span)
     assert up.algebra.masks == ("upper",) + span.algebra.masks
     assert {(d - 1, i, j) for d, i, j in up.units} == span.units
     assert {d - 1: vecs for d, vecs in up.diagonals.items()} == span.diagonals
 
 
-def test_layer_intervals_round_trip():
-    t = quad(3, "rrrfff", "rrfrff", "rfrfrf", "rrrfff")
-    layers = layer_intervals(t)
-    assert layers["a_plus"] == frozenset()
-    assert layers["a_minus"] == frozenset({(1, 1), (2, 2)})
-    assert layers["a_plus_prime"] == frozenset(ideals.intervals(3))
-    assert layers["a_minus_prime"] == frozenset(ideals.intervals(3))
+def test_witness_units_per_degree():
+    # p the pyramid: no degree-0 roots; q holds the two negated simple
+    # roots at degree 1; p' the staircase and q' the pyramid fill degree 1
+    # above the diagonal and degree 2 below it
+    span = build_witness(*quad("rrrfff", "rrfrff", "rfrfrf", "rrrfff"))
+    by_degree = {d: {(i, j) for e, i, j in span.units if e == d} for d in range(3)}
+    upper = {(i, j) for i in range(1, 4) for j in range(1, 4) if i < j}
+    assert by_degree == {0: set(), 1: {(2, 1), (3, 2)} | upper, 2: {(j, i) for i, j in upper}}
+
+
+def test_naive_span_shares_the_basic_ideal_encoding():
+    # with p' the staircase and q' the pyramid, the naive span of (p, q)
+    # holds the basic ideal's support span at degree 0 and below the
+    # diagonal at degree 1
+    for n in range(1, 6):
+        for b in ideals.basic_ideals(n):
+            naive = assemble_naive_span(b.p, b.q, staircase(n), pyramid(n)).units
+            lower = {(d, i, j) for d, i, j in naive if d == 0 or (d == 1 and i > j)}
+            assert lower == ideals.support_span(n, b.s_plus, b.s_minus).units
 
 
 def test_class_record_fields():
@@ -199,5 +221,6 @@ def test_class_record_fields():
     rec = class_record(t, case)
     assert set(rec) == {"n", "level", "p", "q", "p_prime", "q_prime", "case"}
     assert rec["level"] == 1 and rec["n"] == 2
+    assert (rec["p"], rec["q"], rec["p_prime"], rec["q_prime"]) == words(t)
     rec1 = class_record(*enumerate_classes(1)[0])
     assert rec1["case"] is None
