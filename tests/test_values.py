@@ -1,18 +1,19 @@
 """Value semantics of the package's immutable classes: equal fields mean
 equal objects with equal hashes, objects of different classes never
-compare equal, fields cannot be assigned or deleted, and each class
-still validates its arguments."""
+compare equal, fields cannot be assigned or deleted, and each class, like
+a support quadruple's witness, still validates its arguments."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from catborel.dyck import DyckPath, floor_valleys, staircase
+from catborel.dyck import DyckPath, floor_valleys, pyramid, staircase
 from catborel.ideals import BasicIdeal
 from catborel.loopalgebra import Span, TruncatedLoopAlgebra
 from catborel.matrices import ExactMatrix
 from catborel.rootsys import FiniteRootSystem, WindowPoset, WindowRoot, build_root_system, window
+from catborel.supports import build_witness
 from catborel.verify import Check
 from test_properties import dyck_words
 
@@ -109,6 +110,7 @@ def test_dyck_path_statistics_stay_cached():
         lambda: DyckPath("rffr"),
         lambda: DyckPath("rxrf"),
         lambda: DyckPath(""),
+        lambda: build_witness(pyramid(2), pyramid(2), pyramid(2), pyramid(3)),
         lambda: WindowRoot((1, 0), 2),
         lambda: TruncatedLoopAlgebra(3, ("upper", "diag")),
         lambda: TruncatedLoopAlgebra(0, ("full",)),
@@ -119,7 +121,7 @@ def test_dyck_path_statistics_stay_cached():
         lambda: ExactMatrix(((1, 2),)),
     ],
     ids=[
-        "dyck-below-axis", "dyck-bad-step", "dyck-empty",
+        "dyck-below-axis", "dyck-bad-step", "dyck-empty", "quadruple-semilength",
         "window-level-two", "unknown-mask", "algebra-n-zero",
         "span-diagonal-unit", "span-masked-unit", "inadmissible-pair",
         "negative-entry", "not-square",
