@@ -343,13 +343,14 @@ def antichain_of(b: BasicIdeal) -> frozenset[WindowRoot]:
 @lru_cache(maxsize=None)
 def _partner_index(n: int) -> dict[tuple[int, int], tuple[DyckPath, ...]]:
     """Per peak threshold (a, b), the paths whose first peak reaches a and
-    whose last peak reaches b, in word order."""
-    paths = all_paths(n)
-    peaks = [(q.first_peak, q.last_peak) for q in paths]
-    return {
-        (a, b): tuple(q for q, (c, d) in zip(paths, peaks) if c >= a and d >= b)
-        for a, b in {(n - d, n - c) for c, d in peaks}
-    }
+    whose last peak reaches b, in word order; filtered from the paths whose
+    first peak reaches a, which are filtered from those for the a below."""
+    rows = [(q, q.first_peak, q.last_peak) for q in all_paths(n)]
+    thresholds = {(n - d, n - c) for _, c, d in rows}
+    reach = {}
+    for a in sorted({a for a, _ in thresholds}):
+        rows = reach[a] = [row for row in rows if row[1] >= a]
+    return {(a, b): tuple(q for q, _, d in reach[a] if d >= b) for a, b in thresholds}
 
 
 def partners(p: DyckPath) -> tuple[DyckPath, ...]:

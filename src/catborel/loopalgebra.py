@@ -17,12 +17,13 @@ Spans are described the only way the callers need: a set of off-diagonal
 unit positions plus, per degree, a list of diagonal vectors.  Unit
 positions are independent coordinates, so membership splits into a
 support check off the diagonal and a small exact elimination on it, done
-fraction-free in integers.
+fraction-free in integers.  ``stable_under`` reads the Borel generators'
+brackets with each span basis element, already split that way, from one
+table per algebra, filled by ``bracket`` on first use.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 from .frozen import Frozen
@@ -31,6 +32,7 @@ Element = dict[tuple[int, int, int], int]
 DiagVector = tuple[int, ...]
 
 _MASKS = ("upper", "lower_diag", "full")
+_IMAGES: dict[TruncatedLoopAlgebra, dict] = {}  # key -> _image(algebra, key); equal algebras share
 
 
 class TruncatedLoopAlgebra(Frozen):
@@ -68,6 +70,10 @@ class TruncatedLoopAlgebra(Frozen):
         if self.masks[deg] == "upper":
             raise ValueError(f"degree {deg} keeps no diagonal")
         return {(deg, i, i): c for i, c in enumerate(vec, start=1) if c != 0}
+
+    def element(self, key) -> Element:
+        """The element of a key: a unit position, or a degree and a diagonal."""
+        return {key: 1} if len(key) == 3 else self.diagonal(*key)
 
     def project(self, elem: Element) -> Element:
         kept = self.kept
@@ -183,34 +189,35 @@ class Span(Frozen):
     def _fields(self) -> tuple:
         return (self.algebra, self.units, self.diagonals)
 
+    def _keys(self) -> list:
+        """Basis element keys: the units, then each nonzero (degree, vector)."""
+        diags = self.diagonals
+        return sorted(self.units) + [(d, v) for d in sorted(diags) for v in diags[d] if any(v)]
+
     def basis_elements(self) -> list[Element]:
-        out: list[Element] = [{key: 1} for key in sorted(self.units)]
-        for deg in sorted(self.diagonals):
-            for vec in self.diagonals[deg]:
-                elem = self.algebra.diagonal(deg, vec)
-                if elem:
-                    out.append(elem)
-        return out
+        return list(map(self.algebra.element, self._keys()))
 
     def contains(self, elem: Element) -> bool:
-        diag_parts: dict[int, list[int]] = {}
-        for (deg, i, j), c in elem.items():
-            if c == 0:
-                continue
-            if i != j:
-                if (deg, i, j) not in self.units:
-                    return False
-            else:
-                part = diag_parts.setdefault(deg, [0] * self.algebra.n)
-                part[i - 1] += c
-        for deg, part in diag_parts.items():
-            if all(c == 0 for c in part):
-                continue
-            basis = self._diag_echelon.get(deg, [])
-            residue = _reduce_against(tuple(part), basis)
-            if any(residue):
-                return False
-        return True
+        return self._holds(*_split(self.algebra.n, elem))
+
+    def _holds(self, units, diagonals) -> bool:
+        """Membership of a split element: its units are span units, and each
+        diagonal part reduces to zero against the echelon at its degree."""
+        echelon = self._diag_echelon
+        return units <= self.units and not any(
+            any(_reduce_against(vec, echelon.get(deg, ()))) for deg, vec in diagonals
+        )
+
+
+def _split(n: int, elem: Element) -> tuple[frozenset, tuple]:
+    """An element as its off-diagonal unit positions and the nonzero
+    diagonal part at each degree, as (degree, vector) pairs."""
+    parts: dict[int, list[int]] = {}
+    for (deg, i, j), c in elem.items():
+        if i == j:
+            parts.setdefault(deg, [0] * n)[i - 1] += c
+    units = frozenset(key for key, c in elem.items() if c and key[1] != key[2])
+    return units, tuple((deg, tuple(v)) for deg, v in parts.items() if any(v))
 
 
 def one_degree_up(span: Span) -> Span:
@@ -226,19 +233,24 @@ def one_degree_up(span: Span) -> Span:
 
 def stable_under(span: Span) -> bool:
     """True when the bracket of every Borel generator of the span's
-    algebra with every span basis element stays inside the span.  Those
-    with a unit are read from a table per algebra, not recomputed."""
+    algebra with every span basis element stays inside the span.  The
+    brackets of each basis element are read from the algebra's table."""
     alg = span.algebra
-    diagonal = span.basis_elements()[len(span.units):]
-    return all(all(map(span.contains, _unit_brackets(alg, key))) for key in span.units) and all(
-        span.contains(alg.bracket(g, x)) for g in borel_generators(alg) for x in diagonal
-    )
+    table = _IMAGES.setdefault(alg, {})
+    for key in span._keys():
+        if key not in table:
+            table[key] = _image(alg, key)
+        if not span._holds(*table[key]):
+            return False
+    return True
 
 
-@lru_cache(maxsize=None)
-def _unit_brackets(algebra: TruncatedLoopAlgebra, key) -> tuple[Element, ...]:
-    """The brackets of the Borel generators with the unit at key."""
-    return tuple(algebra.bracket(g, {key: 1}) for g in borel_generators(algebra))
+def _image(algebra: TruncatedLoopAlgebra, key) -> tuple[frozenset, tuple]:
+    """The Borel generators' brackets with one basis element, each split:
+    the units they reach, and every diagonal part, none summed."""
+    x = algebra.element(key)
+    parts = [_split(algebra.n, algebra.bracket(g, x)) for g in borel_generators(algebra)]
+    return frozenset().union(*(u for u, _ in parts)), tuple(d for _, ds in parts for d in ds)
 
 
 def borel_generators(algebra: TruncatedLoopAlgebra) -> list[Element]:

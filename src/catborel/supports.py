@@ -64,10 +64,10 @@ def classify(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prime: DyckPath) -> 
     if n == 1:
         return "unique"
     top = pyramid(n)
-    if p != top:
-        # the equality test is cheap and rejects most quadruples first
+    if p.word != top.word:
+        # the word comparisons are cheap and reject most quadruples first
         if (
-            q_prime == top
+            q_prime.word == top.word
             and path_leq(min_partner(p), q)
             and floor_gap_points(q) | {2, 2 * n - 2} <= floor_valleys(p_prime)
         ):

@@ -7,6 +7,7 @@ from catborel import rootsys
 from catborel.dyck import DyckPath, all_paths, min_partner, path_leq, pyramid, staircase
 from catborel.ideals import (
     BasicIdeal,
+    _partner_index,
     antichain_of,
     b_count_formula,
     basic_ideals,
@@ -185,6 +186,17 @@ def test_partner_index_matches_brute_filter():
         paths = all_paths(n)
         brute = [(p, q) for p in paths for q in paths if is_admissible(p, q)]
         assert [(b.p, b.q) for b in enumerate_basic(n)] == brute
+
+
+def test_partner_index_equals_direct_filter():
+    for n in range(1, 9):
+        paths = all_paths(n)
+        thresholds = {(n - p.last_peak, n - p.first_peak) for p in paths}
+        direct = {
+            (a, b): tuple(q for q in paths if q.first_peak >= a and q.last_peak >= b)
+            for a, b in thresholds
+        }
+        assert _partner_index(n) == direct
 
 
 def test_enumeration_order_is_by_word_pair():

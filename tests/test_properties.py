@@ -25,7 +25,14 @@ from catborel.dyck import (
     path_leq,
     staircase,
 )
-from catborel.loopalgebra import Span, TruncatedLoopAlgebra
+from catborel.loopalgebra import (
+    Span,
+    TruncatedLoopAlgebra,
+    borel_generators,
+    cartan_basis,
+    one_degree_up,
+    stable_under,
+)
 from catborel.matrices import matrix, omega, tau
 from catborel.ideals import (
     BasicIdeal,
@@ -216,6 +223,58 @@ def test_span_contains_matches_fraction_rank(case):
     span = Span(algebra, frozenset(), {1: vectors})
     inside = fraction_rank(vectors + [probe]) == fraction_rank(vectors)
     assert span.contains(algebra.diagonal(1, probe)) == inside
+
+
+@st.composite
+def borel_spans(draw):
+    """A span, n <= 4, in the two-degree algebra of ``support_span``, the
+    three-degree witness algebra, or the algebra of ``one_degree_up``:
+    everything from a drawn degree up (which is stable), with a few units
+    toggled and some diagonal vectors drawn at random."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["support_span", "witness", "one_degree_up"]))
+    masks = ("upper", "lower_diag") if kind == "support_span" else ("upper", "full", "lower_diag")
+    algebra = TruncatedLoopAlgebra(n, masks)
+    cut = draw(st.integers(0, len(masks)))
+    positions = sorted(key for key in algebra.kept if key[1] != key[2])
+    toggled = draw(st.sets(st.sampled_from(positions), max_size=2)) if positions else set()
+    units = frozenset(key for key in positions if key[0] >= cut) ^ toggled
+    diagonals = {}
+    for deg, mask in enumerate(masks):
+        if mask != "upper":
+            full = deg >= cut and draw(st.booleans())
+            count = draw(st.integers(0, n - 1))
+            diagonals[deg] = cartan_basis(n) if full else draw(traceless_vectors(n, count))
+    span = Span(algebra, units, diagonals)
+    return one_degree_up(span) if kind == "one_degree_up" else span
+
+
+def reference_stable(span):
+    """Every Borel generator bracketed with every basis element, each
+    bracket tested on its own: its units by inclusion, and its diagonal
+    part at each degree by rank over the rationals."""
+    algebra = span.algebra
+    for g in borel_generators(algebra):
+        for x in span.basis_elements():
+            y = algebra.bracket(g, x)
+            if not {key for key in y if key[1] != key[2]} <= span.units:
+                return False
+            for deg in {key[0] for key in y if key[1] == key[2]}:
+                part = tuple(y.get((deg, i, i), 0) for i in range(1, algebra.n + 1))
+                vecs = span.diagonals.get(deg, [])
+                if fraction_rank(vecs + [part]) != fraction_rank(vecs):
+                    return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(borel_spans())
+def test_stable_under_matches_bracket_by_bracket_reference(span):
+    diagonals = span.diagonals
+    assert span.basis_elements() == [{key: 1} for key in sorted(span.units)] + [
+        span.algebra.diagonal(deg, v) for deg in sorted(diagonals) for v in diagonals[deg] if any(v)
+    ]
+    assert stable_under(span) == reference_stable(span)
 
 
 @st.composite
