@@ -10,7 +10,7 @@ The package is pure Python over arbitrary-precision integers.  Modules:
   summation operators;
 * :mod:`catborel.dyck` - Dyck paths, peak/valley statistics, cells,
   closed counting formulas;
-* :mod:`catborel.rootsys` - finite root systems from Cartan data and the
+* :mod:`catborel.rootsys` - finite root systems from type labels and the
   window poset of affine positive roots;
 * :mod:`catborel.loopalgebra` - a truncated loop algebra of sl_n with
   explicit matrix brackets, the oracle behind the bracket checks;

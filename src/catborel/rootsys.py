@@ -2,9 +2,9 @@
 roots at loop degree at most one.
 
 Roots are integer coordinate vectors over the simple-root basis.  A
-system is built from its Cartan matrix by closing the simple roots under
-the simple reflections; non-finite input is detected when the closure
-exceeds a size bound.  The Cartan convention is
+system is built from its type label by closing the simple roots under
+the simple reflections, s_i skipped on alpha_i, so that the closure stays
+inside the positive roots.  The Cartan convention is
 ``cartan[i][j] = <alpha_j, alpha_i-check>``, so the reflection s_i sends
 beta to beta - (cartan[i] . beta) alpha_i.
 
@@ -39,9 +39,6 @@ from bisect import bisect_right
 from .frozen import Frozen
 
 Vector = tuple[int, ...]
-
-# Closure size bound; the largest supported finite type has 240 roots.
-_ROOT_LIMIT = 400
 
 
 def _chain_cartan(rank: int) -> list[list[int]]:
@@ -123,60 +120,41 @@ class FiniteRootSystem(Frozen):
         return len(self.cartan)
 
 
-
 def _sort_key(v: Vector) -> tuple:
     return (sum(v), v)
 
 
-def build_root_system(source) -> FiniteRootSystem:
-    """Build a system from a type label like "A5" or an explicit Cartan matrix."""
-    if isinstance(source, str):
-        m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", source.strip())
-        if not m:
-            raise ValueError(f"cannot parse type label {source!r}")
-        family, rank = m.group(1).upper(), int(m.group(2))
-        cartan = cartan_matrix(family, rank)
-        label = f"{family}{rank}"
-    else:
-        cartan = tuple(tuple(int(v) for v in row) for row in source)
-        rank = len(cartan)
-        for i, row in enumerate(cartan):
-            if len(row) != rank or row[i] != 2:
-                raise ValueError("Cartan matrix must be square with diagonal 2")
-        label = f"rank{rank}"
-
-    rank = len(cartan)
-    simples = [tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)]
+def build_root_system(label: str) -> FiniteRootSystem:
+    """Build the system of a type label like "A5".  s_i permutes the
+    positive roots other than alpha_i (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.2 Lemma B), so the closure
+    never forms a negative root."""
+    m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", label.strip())
+    if not m:
+        raise ValueError(f"cannot parse type label {label!r}")
+    family, rank = m.group(1).upper(), int(m.group(2))
+    cartan = cartan_matrix(family, rank)
+    simples = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
     seen: set[Vector] = set(simples)
-    frontier = list(simples)
+    frontier = simples
     while frontier:
         nxt = []
         for beta in frontier:
-            for i in range(rank):
-                pairing = sum(cartan[i][j] * beta[j] for j in range(rank))
-                refl = tuple(
-                    beta[k] - (pairing if k == i else 0) for k in range(rank)
-                )
+            for i, row in enumerate(cartan):
+                if beta == simples[i]:
+                    continue
+                pairing = sum(c * b for c, b in zip(row, beta))
+                refl = beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]
                 if refl not in seen:
                     seen.add(refl)
                     nxt.append(refl)
         frontier = nxt
-        if len(seen) > 2 * _ROOT_LIMIT:
-            raise ValueError("reflection closure did not terminate: not finite type")
-
-    positive = sorted((v for v in seen if all(c >= 0 for c in v)), key=_sort_key)
-    mixed = [v for v in seen if any(c > 0 for c in v) and any(c < 0 for c in v)]
-    if mixed or 2 * len(positive) != len(seen):
-        raise ValueError("input is not the Cartan matrix of a root system")
-
-    highest = positive[-1]
-    if not all(all(h - c >= 0 for h, c in zip(highest, v)) for v in positive):
-        raise ValueError("no coordinatewise-maximal root: system is reducible")
+    positive = tuple(sorted(seen, key=_sort_key))
     return FiniteRootSystem(
-        label=label,
+        label=f"{family}{rank}",
         cartan=cartan,
-        positive_roots=tuple(positive),
-        highest_root=highest,
+        positive_roots=positive,
+        highest_root=positive[-1],
     )
 
 

@@ -60,7 +60,9 @@ def classify(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prime: DyckPath) -> 
     The single semilength-1 quadruple is accepted with its own tag
     "unique"; the four shapes require n at least 2.
     """
-    n = _semilength(p, q, p_prime, q_prime)
+    n = len(p.word) // 2
+    if not len(q.word) == len(p_prime.word) == len(q_prime.word) == len(p.word):
+        raise ValueError("all four paths must have one semilength")
     if n == 1:
         return "unique"
     top = pyramid(n)

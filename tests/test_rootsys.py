@@ -56,15 +56,43 @@ def test_type_a_count_formula():
         assert len(rs.positive_roots) == k * (k + 1) // 2
 
 
-def test_explicit_cartan_matrix_input():
-    rs = build_root_system(cartan_matrix("G", 2))
-    assert len(rs.positive_roots) == 6
+@pytest.mark.parametrize(
+    "label, count",
+    [("A28", 28 * 29 // 2), ("B21", 21 * 21), ("C21", 21 * 21), ("D21", 21 * 20)],
+)
+def test_positive_root_counts_at_large_rank(label, count):
+    # r(r+1)/2, r^2, r^2 and r(r-1) positive roots
+    assert len(build_root_system(label).positive_roots) == count
+
+
+def signed_orbit_positive_half(label):
+    """Positive half of the orbit of the simple roots under the simple
+    reflections, taken over both signs with no reflection skipped."""
+    cartan = cartan_matrix(label[0], int(label[1:]))
+    rank = len(cartan)
+    frontier = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    orbit = set(frontier)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i in range(rank):
+                pairing = sum(c * b for c, b in zip(cartan[i], beta))
+                refl = tuple(b - pairing * (k == i) for k, b in enumerate(beta))
+                if refl not in orbit:
+                    orbit.add(refl)
+                    nxt.append(refl)
+        frontier = nxt
+    positive = [v for v in orbit if min(v) >= 0]
+    assert len(orbit) == 2 * len(positive)  # every root is positive or negative
+    return sorted(positive, key=lambda v: (sum(v), v))
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED) + ["D5"])
+def test_positive_roots_match_signed_orbit_reference(label):
+    assert build_root_system(label).positive_roots == tuple(signed_orbit_positive_half(label))
 
 
 def test_non_finite_type_rejected():
-    # an affine-style Cartan matrix has an unbounded reflection orbit
-    with pytest.raises(ValueError):
-        build_root_system([[2, -2], [-2, 2]])
     with pytest.raises(ValueError):
         build_root_system("H3")
 
