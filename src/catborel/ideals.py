@@ -45,22 +45,13 @@ from .frozen import Frozen
 
 if TYPE_CHECKING:
     from .loopalgebra import Span
-    from .rootsys import WindowRoot
+    from .rootsys import WindowPoset, WindowRoot
 
 Interval = tuple[int, int]
 
 
-def intervals(n: int) -> list[Interval]:
-    """All positive-root intervals of rank n - 1, sorted."""
-    return [(i, j) for i in range(1, n) for j in range(i, n)]
-
-
 def _contains(outer: Interval, inner: Interval) -> bool:
     return outer[0] <= inner[0] and inner[1] <= outer[1]
-
-
-def _disjoint(a: Interval, b: Interval) -> bool:
-    return a[1] < b[0] or b[1] < a[0]
 
 
 def _sum_root(a: Interval, b: Interval) -> Interval | None:
@@ -136,18 +127,10 @@ class BasicIdeal(Frozen):
         return frozenset(out)
 
 
+@lru_cache(maxsize=None)
 def _coords(n: int, iv: Interval) -> tuple[int, ...]:
     i, j = iv
     return tuple(1 if i <= k <= j else 0 for k in range(1, n))
-
-
-def _interval_of_coords(coords: tuple[int, ...]) -> Interval:
-    ones = [k for k, c in enumerate(coords, start=1) if c == 1]
-    if not ones or any(c not in (0, 1) for c in coords):
-        raise ValueError(f"{coords} is not a type A positive root")
-    if ones != list(range(ones[0], ones[-1] + 1)):
-        raise ValueError(f"{coords} is not a consecutive-sum root")
-    return (ones[0], ones[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -272,68 +255,39 @@ def is_admissible(p: DyckPath, q: DyckPath) -> bool:
 # antichain normal form
 
 
-def _window_entry(w: WindowRoot) -> tuple[str, Interval | None]:
-    if w.kind == "delta":
-        return ("delta", None)
-    coords = w.finite if w.kind == "pos" else tuple(-c for c in w.finite)
-    return (w.kind, _interval_of_coords(coords))
+@lru_cache(maxsize=None)
+def _window(n: int) -> WindowPoset:
+    """The window poset of type A(n-1), whose closure order is the order of
+    the window supports; at n = 1, where no A0 system exists, delta alone."""
+    from .rootsys import FiniteRootSystem, WindowPoset, WindowRoot, build_root_system, window
+
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n == 1:
+        return WindowPoset(FiniteRootSystem("A0", (), ()), (WindowRoot((), 1),), (1,), (1,))
+    return window(build_root_system(f"A{n - 1}"))
 
 
-def _entry_leq(x, y) -> bool:
-    """The window order on tagged intervals."""
-    kx, ix = x
-    ky, iy = y
-    if ky == "delta":
-        return True
-    if kx == "delta":
-        return False
-    if kx == "pos" and ky == "pos":
-        return _contains(iy, ix)
-    if kx == "pos" and ky == "neg":
-        return _disjoint(ix, iy)
-    if kx == "neg" and ky == "neg":
-        return _contains(ix, iy)
-    return False
+def _interval(finite: tuple[int, ...]) -> Interval:
+    """The interval of a real window root, from its finite part of either sign."""
+    ones = [k for k, c in enumerate(finite, start=1) if c]
+    return (ones[0], ones[-1])
 
 
 def from_antichain(n: int, antichain) -> BasicIdeal:
     """Materialize the upward closure of a nonempty window antichain."""
-    entries = [_window_entry(w) for w in antichain]
-    if not entries:
+    antichain = frozenset(antichain)
+    if not antichain:
         raise ValueError("antichain must be nonempty")
-    for a in entries:
-        for b in entries:
-            if a != b and _entry_leq(a, b):
-                raise ValueError("input is not an antichain")
-    s_plus = set()
-    s_minus = set()
-    for iv in intervals(n):
-        if any(_entry_leq(e, ("pos", iv)) for e in entries):
-            s_plus.add(iv)
-        if any(_entry_leq(e, ("neg", iv)) for e in entries):
-            s_minus.add(iv)
+    upset = _window(n).coideal_of(antichain)
+    s_plus = [_interval(w.finite) for w in upset if w.kind == "pos"]
+    s_minus = [_interval(w.finite) for w in upset if w.kind == "neg"]
     return BasicIdeal.from_intervals(n, s_plus, s_minus)
 
 
 def antichain_of(b: BasicIdeal) -> frozenset[WindowRoot]:
     """Minimal window-support elements; inverse of :func:`from_antichain`."""
-    from .rootsys import WindowRoot
-
-    entries = [("pos", iv) for iv in sorted(b.s_plus)] + [
-        ("neg", iv) for iv in sorted(b.s_minus)
-    ]
-    if not entries:
-        return frozenset({WindowRoot(tuple(0 for _ in range(b.n - 1)), 1)})
-    minimal = [
-        e for e in entries if not any(o != e and _entry_leq(o, e) for o in entries)
-    ]
-    out = set()
-    for kind, iv in minimal:
-        coords = _coords(b.n, iv)
-        if kind == "neg":
-            coords = tuple(-c for c in coords)
-        out.add(WindowRoot(coords, 0 if kind == "pos" else 1))
-    return frozenset(out)
+    return _window(b.n).minimal_elements(b.window_support())
 
 
 # ---------------------------------------------------------------------------

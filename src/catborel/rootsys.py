@@ -100,24 +100,19 @@ def cartan_matrix(family: str, rank: int) -> tuple[Vector, ...]:
 
 
 class FiniteRootSystem(Frozen):
-    __slots__ = ("label", "cartan", "positive_roots", "highest_root")
+    __slots__ = ("label", "positive_roots", "highest_root")
 
     def __init__(
-        self,
-        label: str,
-        cartan: tuple[Vector, ...],
-        positive_roots: tuple[Vector, ...],
-        highest_root: Vector,
+        self, label: str, positive_roots: tuple[Vector, ...], highest_root: Vector
     ) -> None:
         set_ = object.__setattr__
         set_(self, "label", label)
-        set_(self, "cartan", cartan)
         set_(self, "positive_roots", positive_roots)
         set_(self, "highest_root", highest_root)
 
     @property
     def rank(self) -> int:
-        return len(self.cartan)
+        return len(self.highest_root)
 
 
 def _sort_key(v: Vector) -> tuple:
@@ -150,12 +145,7 @@ def build_root_system(label: str) -> FiniteRootSystem:
                     nxt.append(refl)
         frontier = nxt
     positive = tuple(sorted(seen, key=_sort_key))
-    return FiniteRootSystem(
-        label=f"{family}{rank}",
-        cartan=cartan,
-        positive_roots=positive,
-        highest_root=positive[-1],
-    )
+    return FiniteRootSystem(f"{family}{rank}", positive, positive[-1])
 
 
 class WindowRoot(Frozen):
@@ -173,6 +163,9 @@ class WindowRoot(Frozen):
         set_ = object.__setattr__
         set_(self, "finite", finite)
         set_(self, "level", level)
+
+    def _fields(self) -> tuple:
+        return (self.finite, self.level)
 
     @property
     def kind(self) -> str:
@@ -196,7 +189,8 @@ class WindowPoset(Frozen):
     """The window D with both orders as bit rows: bit j of ``natural[i]``
     (resp. ``closure[i]``) is set when element i <= element j."""
 
-    __slots__ = ("system", "elements", "natural", "closure")
+    # _positions maps each element to its index, for the lookups of index
+    __slots__ = ("system", "elements", "natural", "closure", "_positions")
 
     def __init__(
         self,
@@ -210,11 +204,15 @@ class WindowPoset(Frozen):
         set_(self, "elements", elements)
         set_(self, "natural", natural)
         set_(self, "closure", closure)
+        set_(self, "_positions", {w: i for i, w in enumerate(elements)})
+
+    def _fields(self) -> tuple:
+        return (self.system, self.elements, self.natural, self.closure)
 
     def index(self, w: WindowRoot) -> int:
         try:
-            return self.elements.index(w)
-        except ValueError:
+            return self._positions[w]
+        except KeyError:
             raise KeyError(f"{w.label} is not a window element") from None
 
     @property

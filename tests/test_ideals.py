@@ -16,7 +16,6 @@ from catborel.ideals import (
     generators_direct,
     generators_formula,
     ideal_record,
-    intervals,
     is_admissible,
     is_quasi_abelian,
     is_quasi_abelian_bracket,
@@ -44,6 +43,11 @@ B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
 # the two interval fillings drawn in the worked six-strand example
 FIG_PLUS = {(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)}
 FIG_MINUS = {(1, 1), (3, 3), (4, 4), (4, 5), (5, 5)}
+
+
+def intervals(n):
+    """All positive-root intervals of rank n - 1, sorted."""
+    return [(i, j) for i in range(1, n) for j in range(i, n)]
 
 
 def ideal(n, s_plus=(), s_minus=()):
@@ -242,6 +246,11 @@ def test_from_antichain_rejects_bad_input():
         from_antichain(3, [])
     with pytest.raises(ValueError):
         from_antichain(3, [WindowRoot((1, 0), 0), WindowRoot((1, 1), 0)])
+    with pytest.raises(ValueError, match="at least 1"):
+        from_antichain(0, [delta_root(1)])
+    # alpha1 + alpha3 is no root of A3: the window's index refuses it
+    with pytest.raises(KeyError):
+        from_antichain(4, [WindowRoot((1, 0, 1), 0)])
 
 
 def test_antichain_round_trip_and_principal_join():
@@ -257,26 +266,64 @@ def test_antichain_round_trip_and_principal_join():
             assert (frozenset(s_plus), frozenset(s_minus)) == (b.s_plus, b.s_minus)
 
 
-def test_interval_order_agrees_with_window_poset():
-    # the tagged-interval order used here must match the generic
-    # closure order computed from root coordinates, on every pair
-    from catborel.ideals import _entry_leq, _window_entry
+def tagged(w):
+    """A window root as (kind, interval): delta, or the consecutive-sum
+    root in its finite part, of either sign, as an interval."""
+    if w.kind == "delta":
+        return ("delta", None)
+    ones = [k for k, c in enumerate(w.finite, start=1) if c]
+    assert ones == list(range(ones[0], ones[-1] + 1)), w.label
+    return (w.kind, (ones[0], ones[-1]))
 
+
+def tagged_leq(x, y):
+    """The window order by the interval rules that the encoders enforce:
+    s_plus is closed under superintervals, s_minus under subintervals and
+    under the intervals disjoint from a member of s_plus, delta on top."""
+    (kx, ix), (ky, iy) = x, y
+    if ky == "delta":
+        return True
+    if kx == "delta":
+        return False
+    if kx == ky == "pos":
+        return iy[0] <= ix[0] and ix[1] <= iy[1]
+    if kx == ky == "neg":
+        return ix[0] <= iy[0] and iy[1] <= ix[1]
+    if kx == "pos":  # below a negative root exactly when disjoint from it
+        return ix[1] < iy[0] or iy[1] < ix[0]
+    return False
+
+
+def test_interval_order_agrees_with_window_poset():
+    # the interval rules of the basic-ideal support match the closure
+    # order computed from root coordinates, on every pair
     for n in (2, 3, 4, 5, 6):
         poset = rootsys.window(rootsys.build_root_system(f"A{n - 1}"))
         for a in poset.elements:
             for b in poset.elements:
-                assert _entry_leq(_window_entry(a), _window_entry(b)) == poset.closure_leq(
-                    a, b
-                ), (n, a.label, b.label)
+                assert tagged_leq(tagged(a), tagged(b)) == poset.closure_leq(a, b), (
+                    n,
+                    a.label,
+                    b.label,
+                )
 
 
 def test_window_supports_are_poset_coideals():
+    # reference minimal elements from the natural order's rows, which
+    # coincide with the closure order in type A
     for n in (2, 3, 4, 5):
         poset = rootsys.window(rootsys.build_root_system(f"A{n - 1}"))
+        elements = poset.elements
         for b in basic_ideals(n)[:40]:
             support = b.window_support()
-            minimal = poset.minimal_elements(support)
+            inside = [i for i, w in enumerate(elements) if w in support]
+            below = {i: {k for k in inside if poset.natural[k] >> i & 1} for i in inside}
+            assert all(
+                poset.natural[i] >> j & 1 == 0 or elements[j] in support
+                for i in inside
+                for j in range(len(elements))
+            )
+            minimal = frozenset(elements[i] for i in inside if below[i] == {i})
             assert minimal == antichain_of(b)
             assert poset.coideal_of(minimal) == support
 

@@ -145,6 +145,19 @@ def test_corrupted_table_detected():
     assert not orders_coincide(corrupted)
 
 
+@pytest.mark.parametrize("label", ["A4", "F4", "E8"])
+def test_index_is_position_in_elements(label):
+    poset = window(build_root_system(label))
+    for i, w in enumerate(poset.elements):
+        assert poset.index(w) == i
+    # the highest root plus a simple root is no root, and a vector of the
+    # wrong length is no root of this system
+    above = tuple(c + (k == 0) for k, c in enumerate(poset.system.highest_root))
+    for w in (WindowRoot(above, 0), WindowRoot((1,), 0)):
+        with pytest.raises(KeyError):
+            poset.index(w)
+
+
 def test_antichains_smallest_window():
     poset = window(build_root_system("A1"))
     chains = poset.antichains()
@@ -407,7 +420,7 @@ def test_split_search_matches_brute_reference(label):
         [v for v in roots if v in keep],
         [v for k, v in enumerate(roots) if v in keep or k % 3],
     ):
-        thinned = FiniteRootSystem(system.label, system.cartan, tuple(kept), system.highest_root)
+        thinned = FiniteRootSystem(system.label, tuple(kept), system.highest_root)
         hits = highest_root_split_search(thinned)
         assert hits == brute_split_search(thinned)
         found.append(len(hits))

@@ -137,11 +137,10 @@ def test_poset_built_by_keyword():
     rebuilt = WindowPoset(
         system=poset.system, elements=poset.elements, natural=poset.natural, closure=poset.closure
     )
-    assert rebuilt == poset
+    assert rebuilt == poset and hash(rebuilt) == hash(poset)
     system = poset.system
     assert FiniteRootSystem(
         label=system.label,
-        cartan=system.cartan,
         positive_roots=system.positive_roots,
         highest_root=system.highest_root,
     ) == system
