@@ -197,17 +197,14 @@ def cmd_qnd_histogram(args) -> int:
 def cmd_support_classes(args) -> int:
     from . import supports
 
-    if args.level is not None and args.format in ("table", "bfile"):
-        raise ValueError(f"--level is not printed by --format {args.format}; use json or csv")
-    level = args.level or 1
     classes = supports.enumerate_classes(args.n)
     if args.format == "json":
-        records = [supports.class_record(t, case, level) for t, case in classes]
+        records = [supports.class_record(t, case) for t, case in classes]
         _emit(_json_dump(records), args.out)
     elif args.format == "csv":
         counts = Counter(case for _, case in classes)
         body = "".join(
-            f"{args.n},{level},{case},{counts[case]}\n"
+            f"{args.n},1,{case},{counts[case]}\n"
             for case in sorted(counts)
         )
         _emit("n,level,case,count\n" + body, args.out)
@@ -327,8 +324,6 @@ def build_parser() -> _Parser:
         help="level-normalized support classes",
     )
     p.add_argument("--n", type=positive_int, required=True)
-    # None: json and csv print level 1, table and bfile refuse the flag
-    p.add_argument("--level", type=positive_int, default=None)
 
     p = command(
         "split-search", cmd_split_search, ("table", "json"),

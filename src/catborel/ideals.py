@@ -22,10 +22,10 @@ arise this way are exactly those passing the peak-threshold test of
 (:func:`phi` reads it off); what its invariants need is kept in a table
 per path, ``s_plus`` side from ``p`` alone, ``s_minus`` side from ``q``.
 
-On top of the encoding sit the counting formulas (the cell sums and
-the transfer DP that check the conjectural closed forms of
-:mod:`catborel.sequences`), the generator count, the quasi-abelian
-test, the quasi-nilpotency degree, and a matrix oracle
+On top of the encoding sit the counting formulas (the cell sums that
+check the closed forms of :mod:`catborel.sequences`, proved in README's
+"Proofs" section), the generator count, the quasi-abelian test, the
+quasi-nilpotency degree, and a matrix oracle
 (:func:`verify_basic_in_truncation`) that replays the ideal property
 with honest brackets in a truncated loop algebra, independent of all
 the interval bookkeeping above.  The window, bracket and matrix code is
@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
+from math import comb
 from typing import TYPE_CHECKING
 
 from .dyck import DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, peaks_at_least
@@ -390,49 +391,28 @@ def is_quasi_abelian(b: BasicIdeal) -> bool:
 def quasi_abelian_count(n: int) -> int:
     """Number of quasi-abelian basic ideals, the admissible pairs with
     q <= p (see :func:`is_quasi_abelian` for why that test suffices),
-    counted by a transfer DP that lists no path.
+    summed over the cells of p in O(n^2) big-integer steps.
 
-    Every q lies below the pyramid and is admissible with it, which gives
-    C_n pairs.  Any other p has first and last peak heights c, d in
-    1..n-1, so it starts ``r^c f`` and ends ``r f^d``, and admissibility
-    says that q starts ``r^(n-d)`` and ends ``f^(n-c)``.  Below p's fall
-    at c + 1 such a q fits only when n - d <= c.  Per (c, d) the pairs
-    with 0 <= q <= p pointwise are walked step by step over the height
-    pair (h_p, h_q): O(n^5) integer steps in all.
+    The pyramid pairs with all C_n paths.  Any other p lies in a cell
+    (c, d) with 1 <= c, d <= n - 1, and its partners q start with n - d
+    rises and end with n - c falls; such a q fits below p's fall at
+    c + 1 only when c + d >= n.  There the pairs are the nonintersecting
+    pairs (q, p + 2), counted by :func:`_cell_below_pairs`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = catalan_number(n)
-    for c in range(1, n):
-        for d in range(n - c, n):
-            total += _below_pairs(n, c, d)
-    return total
+    return catalan_number(n) + sum(
+        _cell_below_pairs(n, c, d) for c in range(1, n) for d in range(n - c, n)
+    )
 
 
-def _below_pairs(n: int, c: int, d: int) -> int:
-    """Pairs q <= p with p in the cell (c, d), 1 <= c, d <= n - 1, q
-    starting with n - d rises and ending with n - c falls."""
-    top = 2 * n
-    pin_p = {x: x for x in range(c + 1)}
-    pin_p[c + 1] = c - 1
-    pin_p[top - d - 1] = d - 1
-    pin_p.update({x: top - x for x in range(top - d, top + 1)})
-    pin_q = {x: x for x in range(n - d + 1)}
-    pin_q.update({x: top - x for x in range(n + c, top + 1)})
-    ways = {(0, 0): 1}
-    for x in range(1, top + 1):
-        fp, fq = pin_p.get(x), pin_q.get(x)
-        nxt: dict[tuple[int, int], int] = {}
-        for (hp, hq), w in ways.items():
-            for hp2 in (hp - 1, hp + 1):
-                if hp2 < 0 or (fp is not None and hp2 != fp):
-                    continue
-                for hq2 in (hq - 1, hq + 1):
-                    if hq2 < 0 or hq2 > hp2 or (fq is not None and hq2 != fq):
-                        continue
-                    nxt[hp2, hq2] = nxt.get((hp2, hq2), 0) + w
-        ways = nxt
-    return ways.get((0, 0), 0)
+def _cell_below_pairs(n: int, c: int, d: int) -> int:
+    """Pairs q <= p with p in the cell (c, d), c + d >= n, and q a partner
+    of p: the Lindstrom-Gessel-Viennot determinant of ballot numbers for
+    the paths q from (n - d, n - d) to (n + c, n - c) and p + 2 from
+    (c + 1, c + 1) to (2n - d - 1, d + 1) (README, "Proofs")."""
+    s, m = c + d, 2 * n - 2 - c - d
+    return (comb(s, d) - comb(s, n + 1)) * comb(m, n - 1 - c) - comb(n - 1, c) * comb(n - 1, d)
 
 
 def nd_plus(b: BasicIdeal) -> int:

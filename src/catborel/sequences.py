@@ -3,8 +3,8 @@
 ``bn`` and ``quasi-abelian`` print these.  Each term costs O(1)
 big-integer operations, and no term touches a Dyck path, so this module
 imports nothing from the rest of the package: the two commands load it
-alone.  The oracles the forms were fitted to (the cell sums
-:func:`catborel.ideals.b_count_formula` and the transfer DP
+alone.  Both forms are proved in README's "Proofs" section; their
+oracles (the cell sums :func:`catborel.ideals.b_count_formula` and
 :func:`catborel.ideals.quasi_abelian_count`) live with the ideals.
 """
 
@@ -26,10 +26,10 @@ def b_sequence(upto: int):
     """(n, b_n) for n = 1..upto by the closed form
     b_n = ((n + 2) C(2n, n) - 4^n) / 2.
 
-    Conjectural: fitted to the cell sums of
-    :func:`catborel.ideals.b_count_formula`, its oracle, and checked
-    against them and against an order-2 recurrence in the tests, not
-    proven.
+    Proved by summing cell size times partner count over the cells
+    (README, "Proofs"); the tests check it against
+    :func:`catborel.ideals.b_count_formula`, its oracle, and against an
+    order-2 recurrence.
     """
     for n, central, power in _central_binomials(upto):
         yield n, ((n + 2) * central - power) // 2
@@ -39,10 +39,10 @@ def quasi_abelian_sequence(upto: int):
     """(n, q_n) for n = 1..upto by the closed form
     q_n = ((2n + 8) C(2n, n) - 3 * 4^n) / 8.
 
-    Conjectural: fitted to the transfer DP
-    :func:`catborel.ideals.quasi_abelian_count`, its oracle, and checked
-    against it and against an order-2 recurrence in the tests, not
-    proven.
+    Proved by summing a Lindstrom-Gessel-Viennot determinant over the
+    cells (README, "Proofs"); the tests check it against
+    :func:`catborel.ideals.quasi_abelian_count`, its oracle, and against
+    an order-2 recurrence.
     """
     for n, central, power in _central_binomials(upto):
         yield n, ((2 * n + 8) * central - 3 * power) // 8

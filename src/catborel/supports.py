@@ -241,11 +241,11 @@ def assemble_naive_span(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prime: Dy
     return Span(_witness_algebra(n), units, {1: cartan_basis(n), 2: cartan_basis(n)})
 
 
-def class_record(t: Quadruple, case: str, level: int = 1) -> dict:
+def class_record(t: Quadruple, case: str) -> dict:
     p, q, pp, qp = (path.word for path in t)
     return {
         "n": len(p) // 2,
-        "level": level,
+        "level": 1,
         "p": p,
         "q": q,
         "p_prime": pp,

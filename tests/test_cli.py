@@ -161,22 +161,14 @@ def test_support_classes_json_n1_case_null():
     ]
 
 
-@pytest.mark.parametrize("fmt", ["table", "bfile"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv", "bfile"])
 def test_support_classes_level_refused_where_not_printed(fmt):
+    # the level only translates a support, so there is no --level option:
+    # json and csv print level 1, and the flag is an unrecognized argument
     code, out, err = run_cli("support-classes", "--n", "3", "--level", "2", "--format", fmt)
     assert code == 1
     assert out == ""
-    (line,) = err.splitlines()
-    assert line.startswith("catborel: error: --level ")
-
-
-def test_support_classes_level_printed_by_json_and_csv():
-    code, out, _ = run_cli("support-classes", "--n", "2", "--level", "3", "--format", "csv")
-    assert code == 0
-    assert {line.split(",")[1] for line in out.splitlines()[1:]} == {"3"}
-    code, out, _ = run_cli("support-classes", "--n", "2", "--level", "3", "--format", "json")
-    assert code == 0
-    assert {record["level"] for record in json.loads(out)} == {3}
+    assert "unrecognized arguments: --level 2" in err
 
 
 def test_enumerate_basic_table_lines():
@@ -347,6 +339,10 @@ def test_out_of_range_integers_exit_one(args):
     code, out, err = run_cli(*args)
     assert code == 1
     assert out == ""
+    if "--level" in args:
+        # support-classes has no --level option, so any value is refused
+        assert "unrecognized arguments: --level 0" in err
+        return
     minimum = 2 if args[0] == "verify" else 1
     assert f"must be at least {minimum}" in err
 
