@@ -1,26 +1,20 @@
-"""Basic ideals of the loop Borel in type A, in interval coordinates.
+"""Basic ideals of the loop Borel in type A, as pairs of Dyck paths.
 
-Positive roots of sl_n are consecutive sums of simple roots and are
-stored as 1-based intervals (i, j) inside 1..n-1.  A basic ideal is a
-pair of interval sets: ``s_plus`` holds the degree-zero roots present in
-the support, ``s_minus`` the positive roots a whose opposite appears at
-loop degree one.  Together with the imaginary root, the pair has to be
-upward closed in the window order, which in interval terms means:
-
-* s_plus contains every superinterval of each of its members,
-* s_minus contains every subinterval of each of its members,
-* whenever s_plus is nonempty, s_minus contains every interval disjoint
-  from some member of s_plus.
-
-The pair is equivalently encoded as a pair of Dyck paths via a grid
-walk: rows index the left endpoint of a positive interval, columns the
-right endpoint shifted by one, and the path traces the staircase that
-separates present boxes from absent ones.  The pairs of paths that
-arise this way are exactly those passing the peak-threshold test of
-:func:`is_admissible`, and equivalently those with ``q`` above the
-``min_partner`` of ``p``.  :class:`BasicIdeal` is that Dyck pair
-(:func:`phi` reads it off); what its invariants need is kept in a table
-per path, ``s_plus`` side from ``p`` alone, ``s_minus`` side from ``q``.
+Positive roots of sl_n are consecutive sums of simple roots, written as
+1-based intervals (i, j) inside 1..n-1.  The support of a basic ideal
+is the upward closure of an antichain in the window poset of A(n-1):
+``s_plus`` holds its degree-zero roots, ``s_minus`` the positive roots
+a whose opposite appears at loop degree one, and the imaginary root is
+always present.  An ideal enters only as its admissible Dyck pair
+(p, q), which :class:`BasicIdeal` stores and :func:`phi` returns, or as
+a window antichain, which :func:`from_antichain` turns into that pair.
+The interval sets are read off the paths: p's i-th fall follows as many
+rises as the least right end in ``s_plus`` from i, q's one more than
+the greatest right end in ``s_minus`` from i.  The admissible pairs are
+those passing the peak-threshold test of :func:`is_admissible`, and
+equivalently those with ``q`` above the ``min_partner`` of ``p``; what
+the invariants need is kept in a table per path, ``s_plus`` side from
+``p`` alone, ``s_minus`` side from ``q``.
 
 On top of the encoding sit the counting formulas (the cell sums that
 check the closed forms of :mod:`catborel.sequences`, proved in README's
@@ -87,23 +81,6 @@ class BasicIdeal(Frozen):
         set_(self, "p", p)
         set_(self, "q", q)
 
-    @classmethod
-    def from_intervals(cls, n: int, s_plus, s_minus) -> "BasicIdeal":
-        """The ideal with the given window support, after checking that the
-        interval sets are closed the way an ideal support must be."""
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        s_plus, s_minus = set(s_plus), set(s_minus)
-        # the encoders check the range and the super/subinterval closures
-        p, q = plus_path(n, s_plus), minus_path(n, s_minus)
-        # disjointness closure; the two extreme flanks suffice by subinterval closure
-        for i, j in s_plus:
-            if i > 1 and (1, i - 1) not in s_minus:
-                raise ValueError(f"support not upward closed: {(1, i - 1)} missing")
-            if j < n - 1 and (j + 1, n - 1) not in s_minus:
-                raise ValueError(f"support not upward closed: {(j + 1, n - 1)} missing")
-        return cls(p, q)
-
     @property
     def n(self) -> int:
         return self.p.semilength
@@ -132,39 +109,6 @@ class BasicIdeal(Frozen):
 def _coords(n: int, iv: Interval) -> tuple[int, ...]:
     i, j = iv
     return tuple(1 if i <= k <= j else 0 for k in range(1, n))
-
-
-# ---------------------------------------------------------------------------
-# grid encoding
-
-
-def plus_path(n: int, s_plus) -> DyckPath:
-    """Path tracing the staircase below the s_plus boxes: the i-th fall of
-    the word is preceded by n - (number of intervals starting at i) rises."""
-    return _grid_path(n, s_plus, lambda i, k: n - k, "s_plus", "upward closed")
-
-
-def minus_path(n: int, s_minus) -> DyckPath:
-    """Path tracing the staircase below the s_minus boxes: the j-th fall is
-    preceded by j + (number of intervals starting at j) rises."""
-    return _grid_path(n, s_minus, lambda j, k: j + k, "s_minus", "subinterval closed")
-
-
-def _grid_path(n: int, ivs, rises_at, field: str, closure: str) -> DyckPath:
-    """The path whose i-th fall follows rises_at(i, k) rises, k the number
-    of intervals starting at i, once its table lists exactly ivs."""
-    ivs = set(ivs)
-    starts = [0] * (n + 1)
-    for iv in ivs:
-        if not 1 <= iv[0] <= iv[1] <= n - 1:
-            raise ValueError(f"interval {iv} outside 1..{n - 1}")
-        starts[iv[0]] += 1
-    depth = [rises_at(i, starts[i]) for i in range(1, n + 1)]
-    if depth == sorted(depth):
-        path = DyckPath("".join("r" * (d - c) + "f" for c, d in zip([0] + depth, depth)))
-        if set(getattr(_table(path), field)) == ivs:
-            return path
-    raise ValueError(f"interval set is not {closure}")
 
 
 class _PathTable:
@@ -276,14 +220,28 @@ def _interval(finite: tuple[int, ...]) -> Interval:
 
 
 def from_antichain(n: int, antichain) -> BasicIdeal:
-    """Materialize the upward closure of a nonempty window antichain."""
+    """Materialize the upward closure of a nonempty window antichain.  Per
+    start i, p's i-th fall follows as many rises as the least right end of
+    the positive roots from i (n: none), and q's one more than the greatest
+    right end of the negative roots from i (i: none)."""
     antichain = frozenset(antichain)
     if not antichain:
         raise ValueError("antichain must be nonempty")
-    upset = _window(n).coideal_of(antichain)
-    s_plus = [_interval(w.finite) for w in upset if w.kind == "pos"]
-    s_minus = [_interval(w.finite) for w in upset if w.kind == "neg"]
-    return BasicIdeal.from_intervals(n, s_plus, s_minus)
+    plus, minus = [n] * n, list(range(1, n + 1))
+    for w in _window(n).coideal_of(antichain):
+        if w.kind != "delta":
+            i, j = _interval(w.finite)
+            if w.kind == "pos":
+                plus[i - 1] = min(plus[i - 1], j)
+            else:
+                minus[i - 1] = max(minus[i - 1], j + 1)
+    return BasicIdeal(_path(plus), _path(minus))
+
+
+def _path(depth: list[int]) -> DyckPath:
+    """The path whose i-th fall follows depth[i - 1] rises in all, the
+    inverse of ``_PathTable.depth``; DyckPath refuses any other row."""
+    return DyckPath("".join("r" * (d - c) + "f" for c, d in zip([0, *depth], depth)))
 
 
 def antichain_of(b: BasicIdeal) -> frozenset[WindowRoot]:

@@ -215,13 +215,6 @@ class WindowPoset(Frozen):
         except KeyError:
             raise KeyError(f"{w.label} is not a window element") from None
 
-    @property
-    def delta(self) -> WindowRoot:
-        return WindowRoot(tuple(0 for _ in range(self.system.rank)), 1)
-
-    def closure_leq(self, a: WindowRoot, b: WindowRoot) -> bool:
-        return bool(self.closure[self.index(a)] >> self.index(b) & 1)
-
     def _members(self, mask: int) -> frozenset[WindowRoot]:
         return frozenset(self.elements[j] for j in _bits(mask))
 

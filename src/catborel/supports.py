@@ -3,8 +3,8 @@
 Up to a uniform shift by the imaginary root, such a support is pinned by
 its level l (the least positive multiple of the imaginary root present)
 and by four interval layers: positive roots at loop degree l-1 and l,
-negated positive roots at degrees l and l+1.  Each layer is encoded by
-the same grid walk as in :mod:`catborel.ideals`, giving a quadruple
+negated positive roots at degrees l and l+1.  Each layer is read off a
+Dyck path as in :mod:`catborel.ideals`, giving a quadruple
 (p, q, p', q') of Dyck paths, held as that plain tuple and passed as
 four arguments; the level only translates the picture, so level-1
 quadruples classify everything.

@@ -342,9 +342,12 @@ MIN_MAX_N = 2
 
 
 def run_suites(names, max_n: int = 6, include_e78: bool = False) -> list[Check]:
-    """Run the named suites; ``max_n`` must be at least ``MIN_MAX_N``."""
+    """Run the named suites; ``max_n`` must be at least ``MIN_MAX_N``, and
+    ``include_e78`` is refused unless the rootsys suite runs."""
     if max_n < MIN_MAX_N:
         raise ValueError(f"max-n must be at least {MIN_MAX_N}, got {max_n}")
+    if include_e78 and "rootsys" not in names:
+        raise ValueError("--include-e78 needs the rootsys suite")
     table = {
         "matrices": lambda: suite_matrices(max_n),
         "dyck": lambda: suite_dyck(max_n),

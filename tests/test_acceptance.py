@@ -152,7 +152,8 @@ def test_criterion_09_generator_count_two_ways():
             for b in ideals.basic_ideals(n):
                 assert ideals.generators_direct(b) == ideals.generators_formula(b)
         # the unguarded expression undercounts on this ideal, exactly as documented
-        b = ideals.BasicIdeal.from_intervals(3, {(1, 2)}, set())
+        b = ideals.BasicIdeal(dyck.DyckPath("rrfrff"), dyck.staircase(3))
+        assert b.s_plus == {(1, 2)}
         p, q = ideals.phi(b)
         a, bb = p.first_peak, p.last_peak
         c, d = q.first_peak, q.last_peak

@@ -308,6 +308,19 @@ def test_verify_unknown_suite_exits_one():
     assert err.splitlines()[-1] == "catborel: error: unknown suite 'bogus'"
 
 
+@pytest.mark.parametrize("suite", ["matrices", "dyck", "rootsys", "ideals", "supports", "all"])
+def test_verify_include_e78_needs_the_rootsys_suite(suite):
+    # only the rootsys suite reads the flag; elsewhere it is refused, not ignored
+    code, out, err = run_cli("verify", "--suite", suite, "--max-n", "2", "--include-e78")
+    if suite in ("rootsys", "all"):
+        assert code == 0
+        assert out.endswith(" checks passed (max-n 2)\n")
+        return
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["catborel: error: --include-e78 needs the rootsys suite"]
+
+
 def test_threads_flag_does_not_change_output():
     # --threads is gone: output is fixed by the other flags, the flag is refused
     first = run_cli("enumerate-basic", "--n", "4", "--format", "json")

@@ -20,12 +20,10 @@ from catborel.ideals import (
     is_quasi_abelian,
     is_quasi_abelian_bracket,
     minus_intervals,
-    minus_path,
     nd_plus,
     partners,
     phi,
     plus_intervals,
-    plus_path,
     qnd_direct,
     qnd_from_plus_degree,
     qnd_histogram,
@@ -37,6 +35,7 @@ from catborel.loopalgebra import stable_under
 from catborel.matrices import catalan_matrix, dot, omega
 from catborel.rootsys import WindowRoot
 from catborel.sequences import b_sequence, quasi_abelian_sequence
+from test_rootsys import closure_leq
 
 B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
 
@@ -51,11 +50,14 @@ def intervals(n):
 
 
 def ideal(n, s_plus=(), s_minus=()):
-    return BasicIdeal.from_intervals(n, s_plus, s_minus)
+    """The basic ideal with this support, looked up among all of them."""
+    support = (frozenset(s_plus), frozenset(s_minus))
+    (b,) = [b for b in basic_ideals(n) if (b.s_plus, b.s_minus) == support]
+    return b
 
 
 def full_ideal(n):
-    return ideal(n, intervals(n), intervals(n))
+    return BasicIdeal(staircase(n), pyramid(n))
 
 
 def delta_root(n):
@@ -63,8 +65,6 @@ def delta_root(n):
 
 
 def test_grid_walk_matches_drawn_example():
-    assert plus_path(6, FIG_PLUS).word == "rrfrfrrffrff"
-    assert minus_path(6, FIG_MINUS).word == "rrffrrfrrfff"
     assert plus_intervals(DyckPath("rrfrfrrffrff")) == frozenset(FIG_PLUS)
     assert minus_intervals(DyckPath("rrffrrfrrfff")) == frozenset(FIG_MINUS)
 
@@ -72,10 +72,10 @@ def test_grid_walk_matches_drawn_example():
 def test_encoding_anchors():
     for n in range(2, 7):
         everything = frozenset(intervals(n))
-        assert plus_path(n, frozenset()) == pyramid(n)
-        assert plus_path(n, everything) == staircase(n)
-        assert minus_path(n, frozenset()) == staircase(n)
-        assert minus_path(n, everything) == pyramid(n)
+        assert plus_intervals(pyramid(n)) == frozenset()
+        assert plus_intervals(staircase(n)) == everything
+        assert minus_intervals(staircase(n)) == frozenset()
+        assert minus_intervals(pyramid(n)) == everything
 
 
 def test_minimum_and_full_ideal_pairs():
@@ -84,27 +84,13 @@ def test_minimum_and_full_ideal_pairs():
 
 
 def test_encoding_is_monotone():
-    # larger plus-set -> lower p; larger minus-set -> higher q
-    n = 5
-    upsets = {frozenset(plus_intervals(p)) for p in all_paths(n)}
-    downsets = {frozenset(minus_intervals(q)) for q in all_paths(n)}
-    for a in upsets:
-        for b in upsets:
-            if a <= b:
-                assert path_leq(plus_path(n, b), plus_path(n, a))
-    for a in downsets:
-        for b in downsets:
-            if a <= b:
-                assert path_leq(minus_path(n, a), minus_path(n, b))
-
-
-def test_path_encoders_reject_malformed_shapes():
-    with pytest.raises(ValueError):
-        plus_path(3, {(1, 1)})  # right endpoints not a suffix
-    with pytest.raises(ValueError):
-        minus_path(3, {(1, 2)})  # right endpoints not a prefix
-    with pytest.raises(ValueError):
-        plus_path(3, {(3, 3)})  # outside the rank
+    # a higher path has a smaller plus-set and a larger minus-set
+    paths = all_paths(5)
+    for a in paths:
+        for b in paths:
+            leq = path_leq(a, b)
+            assert leq == (plus_intervals(b) <= plus_intervals(a)), (a, b)
+            assert leq == (minus_intervals(a) <= minus_intervals(b)), (a, b)
 
 
 def test_admissibility_examples():
@@ -210,22 +196,6 @@ def test_enumeration_order_is_by_word_pair():
         assert len(set(pairs)) == len(pairs)
 
 
-def test_basic_ideal_validation():
-    # missing superinterval in s_plus
-    with pytest.raises(ValueError):
-        ideal(3, s_plus={(1, 1)}, s_minus={(2, 2)})
-    with pytest.raises(ValueError):
-        ideal(4, s_plus={(2, 2)}, s_minus=set(intervals(4)))
-    # missing subinterval in s_minus
-    with pytest.raises(ValueError):
-        ideal(4, s_minus={(1, 2)})
-    # missing disjoint flank
-    with pytest.raises(ValueError):
-        ideal(3, s_plus={(1, 1), (1, 2)}, s_minus=set())
-    with pytest.raises(ValueError):
-        ideal(3, s_plus={(0, 1)})
-
-
 def test_from_antichain_single_simple_root():
     b = from_antichain(3, [WindowRoot((1, 0), 0)])
     assert b.s_plus == frozenset({(1, 1), (1, 2)})
@@ -238,7 +208,6 @@ def test_from_antichain_delta_is_minimum_ideal():
     for n in (1, 2, 3, 5):
         b = from_antichain(n, [delta_root(n)])
         assert b == ideal(n)
-
 
 
 def test_from_antichain_rejects_bad_input():
@@ -277,7 +246,7 @@ def tagged(w):
 
 
 def tagged_leq(x, y):
-    """The window order by the interval rules that the encoders enforce:
+    """The window order by the interval rules of a basic ideal's support:
     s_plus is closed under superintervals, s_minus under subintervals and
     under the intervals disjoint from a member of s_plus, delta on top."""
     (kx, ix), (ky, iy) = x, y
@@ -301,7 +270,7 @@ def test_interval_order_agrees_with_window_poset():
         poset = rootsys.window(rootsys.build_root_system(f"A{n - 1}"))
         for a in poset.elements:
             for b in poset.elements:
-                assert tagged_leq(tagged(a), tagged(b)) == poset.closure_leq(a, b), (
+                assert tagged_leq(tagged(a), tagged(b)) == closure_leq(poset, a, b), (
                     n,
                     a.label,
                     b.label,

@@ -37,6 +37,8 @@ from catborel.matrices import matrix, omega, tau
 from catborel.ideals import (
     BasicIdeal,
     _table,
+    antichain_of,
+    from_antichain,
     is_admissible,
     nd_plus,
     phi,
@@ -90,11 +92,11 @@ def admissible_pairs(draw, lo=9, hi=20):
 
 @settings(max_examples=60, deadline=None)
 @given(admissible_pairs())
-def test_pair_interval_round_trip(pair):
+def test_pair_antichain_round_trip(pair):
     p, q = pair
     assert is_admissible(p, q)
     b = BasicIdeal(p, q)
-    again = BasicIdeal.from_intervals(b.n, set(b.s_plus), set(b.s_minus))
+    again = from_antichain(b.n, antichain_of(b))
     assert again == b and hash(again) == hash(b)
     assert phi(again) == (p, q)
 
