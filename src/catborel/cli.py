@@ -78,17 +78,16 @@ def _emit_sequence(values, args) -> None:
         _emit(_bfile(values), args.out)
 
 
-def _emit_matrix(key: str, rows: list[list[int]], args) -> None:
-    """A square matrix as an aligned table, CSV rows, or JSON under ``key``."""
-    from . import matrices
+def _emit_matrix(key: str, rows: tuple[tuple[int, ...], ...], args) -> None:
+    """Square matrix rows as an aligned table, CSV rows, or JSON under ``key``."""
+    from .matrices import format_table
 
-    m = matrices.matrix(rows)
     if args.format == "json":
-        _emit(_json_dump({"n": args.n, key: m.rows()}), args.out)
+        _emit(_json_dump({"n": args.n, key: rows}), args.out)
     elif args.format == "csv":
-        _emit("".join(",".join(str(v) for v in row) + "\n" for row in m.rows()), args.out)
+        _emit("".join(",".join(str(v) for v in row) + "\n" for row in rows), args.out)
     else:
-        _emit(matrices.format_table(m) + "\n", args.out)
+        _emit(format_table(rows) + "\n", args.out)
 
 
 def cmd_catalan_matrix(args) -> int:

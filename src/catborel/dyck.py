@@ -273,24 +273,19 @@ def _binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def cell_count_formula(n: int, i: int, j: int) -> int:
-    """Closed form for the size of cell (i, j), 1 <= i, j <= n - 1: a
-    difference of two binomials from the reflection principle."""
-    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
-        raise ValueError("need 1 <= i, j <= n - 1")
+def cell_count(n: int, i: int, j: int) -> int:
+    """Size of cell (i, j) for 1 <= i, j <= n: a difference of two
+    binomials from the reflection principle, except that row n and
+    column n hold only the pyramid, at (n, n)."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("need 1 <= i, j <= n")
+    if n in (i, j):
+        return int(i == j)
     top = (n - 1 - i) + (n - 1 - j)
     return _binom(top, n - 1 - i) - _binom(top, n - i - j - 1)
 
 
-def cell_count(n: int, i: int, j: int) -> int:
-    """Size of cell (i, j) for 1 <= i, j <= n: the closed form, except
-    that row n and column n hold only the pyramid, at (n, n)."""
-    if n in (i, j):
-        return int(i == j)
-    return cell_count_formula(n, i, j)
-
-
-def cell_count_rows(n: int) -> list[list[int]]:
+def cell_count_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """The cell-count matrix C(n) as rows: row i - 1, column j - 1 holds
     the size of cell (i, j)."""
-    return [[cell_count(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return tuple(tuple(cell_count(n, i, j) for j in range(1, n + 1)) for i in range(1, n + 1))

@@ -285,11 +285,11 @@ def b_count_formula(n: int) -> int:
     The entries of C(n) are the reflection-principle cell counts, except
     that row n and column n hold only the pyramid at (n, n).
     """
-    from .matrices import dot, matrix, omega
+    from .matrices import dot, omega
 
     if n < 1:
         raise ValueError("n must be at least 1")
-    c = matrix(cell_count_rows(n))
+    c = cell_count_rows(n)
     return dot(c, omega(c))
 
 

@@ -197,9 +197,6 @@ class Span(Frozen):
     def basis_elements(self) -> list[Element]:
         return list(map(self.algebra.element, self._keys()))
 
-    def contains(self, elem: Element) -> bool:
-        return self._holds(*_split(self.algebra.n, elem))
-
     def _holds(self, units, diagonals) -> bool:
         """Membership of a split element: its units are span units, and each
         diagonal part reduces to zero against the echelon at its degree."""

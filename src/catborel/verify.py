@@ -19,17 +19,17 @@ B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
 QUASI_ABELIAN_SEQUENCE = [1, 3, 11, 44, 183, 774, 3294, 14034]
 SUPPORT_CLASS_SEQUENCE = [1, 4, 21, 100, 455]
 PRINTED_MATRICES = {
-    1: [[1]],
-    2: [[1, 0], [0, 1]],
-    3: [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
-    4: [[2, 2, 1, 0], [2, 2, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]],
-    5: [
-        [5, 5, 3, 1, 0],
-        [5, 5, 3, 1, 0],
-        [3, 3, 2, 1, 0],
-        [1, 1, 1, 1, 0],
-        [0, 0, 0, 0, 1],
-    ],
+    1: ((1,),),
+    2: ((1, 0), (0, 1)),
+    3: ((1, 1, 0), (1, 1, 0), (0, 0, 1)),
+    4: ((2, 2, 1, 0), (2, 2, 1, 0), (1, 1, 1, 0), (0, 0, 0, 1)),
+    5: (
+        (5, 5, 3, 1, 0),
+        (5, 5, 3, 1, 0),
+        (3, 3, 2, 1, 0),
+        (1, 1, 1, 1, 0),
+        (0, 0, 0, 0, 1),
+    ),
 }
 SPLIT_SEARCH_TYPES = (
     "A1", "A2", "A3", "A4", "A5",
@@ -55,10 +55,10 @@ class Check(Frozen):
 
 
 def _entry_or_zero(c, n: int, i: int, j: int) -> int:
-    return c.entry(i, j) if 1 <= i <= n and 1 <= j <= n else 0
+    return c[i - 1][j - 1] if 1 <= i <= n and 1 <= j <= n else 0
 
 
-def _catalan_matrices(bound: int) -> dict[int, matrices.ExactMatrix]:
+def _catalan_matrices(bound: int) -> dict[int, matrices.Matrix]:
     """C(1)..C(bound), each built once by the tau recursion."""
     return {n: matrices.catalan_matrix(n) for n in range(1, bound + 1)}
 
@@ -67,7 +67,7 @@ def suite_matrices(max_n: int) -> list[Check]:
     out = []
     bound = 12
     cm = _catalan_matrices(bound)
-    ok = all(cm[n].rows() == PRINTED_MATRICES[n] for n in range(1, 6))
+    ok = all(cm[n] == PRINTED_MATRICES[n] for n in range(1, 6))
     out.append(Check("matrices", "small_matrices_pinned", ok, "n=1..5 fixed tables"))
     sym = all(matrices.is_symmetric(cm[n]) for n in range(1, bound + 1))
     out.append(Check("matrices", "symmetry", sym, f"n<={bound}"))
@@ -99,21 +99,21 @@ def suite_dyck(max_n: int) -> list[Check]:
         c = cm[n]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                if len(dyck.cell_paths(n, i, j)) != c.entry(i, j):
+                if len(dyck.cell_paths(n, i, j)) != c[i - 1][j - 1]:
                     cells_ok = False
     out.append(
         Check("dyck", "cell_counts_vs_matrix", cells_ok, f"generated cells vs tau matrix n<={bound}")
     )
 
     tri_ok = all(
-        cm[n].entry(1, j) == dyck.catalan_triangle(n - 2, n - 1 - j)
+        cm[n][0][j - 1] == dyck.catalan_triangle(n - 2, n - 1 - j)
         for n in range(2, bound12 + 1)
         for j in range(1, n)
     )
     out.append(Check("dyck", "first_row_is_triangle", tri_ok, f"n<={bound12}"))
 
     closed_ok = all(
-        cm[n].entry(i, j) == dyck.cell_count_formula(n, i, j)
+        cm[n][i - 1][j - 1] == dyck.cell_count(n, i, j)
         for n in range(2, bound12 + 1)
         for i in range(1, n)
         for j in range(1, n)

@@ -19,17 +19,17 @@ QA_SEQUENCE = [1, 3, 11, 44, 183, 774, 3294, 14034]
 CLASS_SEQUENCE = [1, 4, 21, 100, 455]
 
 PRINTED = {
-    1: [[1]],
-    2: [[1, 0], [0, 1]],
-    3: [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
-    4: [[2, 2, 1, 0], [2, 2, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]],
-    5: [
-        [5, 5, 3, 1, 0],
-        [5, 5, 3, 1, 0],
-        [3, 3, 2, 1, 0],
-        [1, 1, 1, 1, 0],
-        [0, 0, 0, 0, 1],
-    ],
+    1: ((1,),),
+    2: ((1, 0), (0, 1)),
+    3: ((1, 1, 0), (1, 1, 0), (0, 0, 1)),
+    4: ((2, 2, 1, 0), (2, 2, 1, 0), (1, 1, 1, 0), (0, 0, 0, 1)),
+    5: (
+        (5, 5, 3, 1, 0),
+        (5, 5, 3, 1, 0),
+        (3, 3, 2, 1, 0),
+        (1, 1, 1, 1, 0),
+        (0, 0, 0, 0, 1),
+    ),
 }
 
 
@@ -55,7 +55,7 @@ class criterion:
 def test_criterion_01_small_matrices_printed():
     with criterion(1, 1):
         for n, rows in PRINTED.items():
-            assert matrices.catalan_matrix(n).rows() == rows
+            assert matrices.catalan_matrix(n) == rows
 
 
 def test_criterion_02_symmetry_and_catalan_sums():
@@ -76,7 +76,7 @@ def test_criterion_03_cell_counts_brute_force():
                 buckets[key] = buckets.get(key, 0) + 1
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    assert buckets.get((i, j), 0) == c.entry(i, j)
+                    assert buckets.get((i, j), 0) == c[i - 1][j - 1]
 
 
 def test_criterion_04_closed_forms_and_identities():
@@ -85,12 +85,12 @@ def test_criterion_04_closed_forms_and_identities():
             c = matrices.catalan_matrix(n)
             for i in range(1, n):
                 for j in range(1, n):
-                    assert dyck.cell_count_formula(n, i, j) == c.entry(i, j)
+                    assert dyck.cell_count(n, i, j) == c[i - 1][j - 1]
             for j in range(1, n):
-                assert c.entry(1, j) == dyck.catalan_triangle(n - 2, n - 1 - j)
+                assert c[0][j - 1] == dyck.catalan_triangle(n - 2, n - 1 - j)
 
         def entry(c, n, i, j):
-            return c.entry(i, j) if 1 <= i <= n and 1 <= j <= n else 0
+            return c[i - 1][j - 1] if 1 <= i <= n and 1 <= j <= n else 0
 
         for n in range(1, 13):
             c = matrices.catalan_matrix(n)

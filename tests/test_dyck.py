@@ -11,7 +11,6 @@ from catborel.dyck import (
     catalan_number,
     catalan_triangle,
     cell_count,
-    cell_count_formula,
     cell_min,
     cell_paths,
     floor_gap_points,
@@ -154,7 +153,7 @@ def test_cell_counts_match_matrix():
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 k = len(cell_paths(n, i, j))
-                assert k == c.entry(i, j), (n, i, j)
+                assert k == c[i - 1][j - 1], (n, i, j)
                 seen += k
         assert seen == catalan_number(n)
 
@@ -273,24 +272,27 @@ def test_catalan_triangle_values():
 
 
 def test_cell_count_formula():
-    assert cell_count_formula(5, 1, 2) == 5
+    assert cell_count(5, 1, 2) == 5
     for n in range(2, 13):
         c = catalan_matrix(n)
-        for i in range(1, n):
-            for j in range(1, n):
-                assert cell_count_formula(n, i, j) == c.entry(i, j)
-        assert cell_count_formula(n, 1, 1) == catalan_triangle(n - 2, n - 2)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert cell_count(n, i, j) == c[i - 1][j - 1]
+        assert cell_count(n, 1, 1) == catalan_triangle(n - 2, n - 2)
+    for cell in ((3, 0, 1), (3, 1, 0), (3, 3, 4), (3, 4, 4), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            cell_count(*cell)
 
 
 def test_first_row_matches_triangle():
     for n in range(2, 13):
         c = catalan_matrix(n)
         for j in range(1, n):
-            assert c.entry(1, j) == catalan_triangle(n - 2, n - 1 - j)
+            assert c[0][j - 1] == catalan_triangle(n - 2, n - 1 - j)
 
 
 def _entry(c, n, i, j):
-    return c.entry(i, j) if 1 <= i <= n and 1 <= j <= n else 0
+    return c[i - 1][j - 1] if 1 <= i <= n and 1 <= j <= n else 0
 
 
 def test_pascal_type_identity_with_column_sums():

@@ -7,7 +7,7 @@ m = 2n - 2 - s.  The double sums run over 1 <= c, d <= n - 1.
 
 from math import comb
 
-from catborel.dyck import catalan_number, cell_count_formula, cell_paths, path_leq
+from catborel.dyck import catalan_number, cell_count, cell_paths, path_leq
 from catborel.ideals import _cell_below_pairs, b_count_formula, partners
 from catborel.sequences import b_sequence, quasi_abelian_sequence
 
@@ -55,7 +55,7 @@ def test_partner_sum_is_b_n():
     closed = dict(b_sequence(60))
     for n in range(2, 61):
         total = catalan_number(n) + sum(
-            cell_count_formula(n, c, d) * partner_count(n, c, d) for c, d, _, _ in cells(n)
+            cell_count(n, c, d) * partner_count(n, c, d) for c, d, _, _ in cells(n)
         )
         assert total == closed[n] == b_count_formula(n), n
 

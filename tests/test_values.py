@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from catborel.dyck import DyckPath, floor_valleys, pyramid, staircase
 from catborel.ideals import BasicIdeal
 from catborel.loopalgebra import Span, TruncatedLoopAlgebra
-from catborel.matrices import ExactMatrix
 from catborel.rootsys import FiniteRootSystem, WindowPoset, WindowRoot, build_root_system, window
 from catborel.supports import build_witness
 from catborel.verify import Check
@@ -27,7 +26,6 @@ def _algebra(masks=("upper", "lower_diag")):
 BUILDERS = {
     "DyckPath": lambda k: DyckPath(("rrff", "rfrf")[k]),
     "BasicIdeal": lambda k: BasicIdeal(DyckPath("rrff"), DyckPath(("rrff", "rfrf")[k])),
-    "ExactMatrix": lambda k: ExactMatrix(((1, k), (0, 1))),
     "FiniteRootSystem": lambda k: build_root_system(("A2", "B2")[k]),
     "WindowRoot": lambda k: WindowRoot((1, k), 0),
     "WindowPoset": lambda k: window(build_root_system(("A2", "B2")[k])),
@@ -39,7 +37,6 @@ BUILDERS = {
 FIELDS = {
     "DyckPath": "word",
     "BasicIdeal": "p",
-    "ExactMatrix": "entries",
     "FiniteRootSystem": "label",
     "WindowRoot": "level",
     "WindowPoset": "closure",
@@ -117,14 +114,11 @@ def test_dyck_path_statistics_stay_cached():
         lambda: Span(_algebra(), frozenset({(0, 2, 2)}), {}),
         lambda: Span(_algebra(), frozenset({(1, 1, 2)}), {}),
         lambda: BasicIdeal(staircase(3), staircase(3)),
-        lambda: ExactMatrix(((1, -1), (0, 1))),
-        lambda: ExactMatrix(((1, 2),)),
     ],
     ids=[
         "dyck-below-axis", "dyck-bad-step", "dyck-empty", "quadruple-semilength",
         "window-level-two", "unknown-mask", "algebra-n-zero",
         "span-diagonal-unit", "span-masked-unit", "inadmissible-pair",
-        "negative-entry", "not-square",
     ],
 )
 def test_validation_raises_value_error(build):
