@@ -33,7 +33,7 @@ def _bfile(pairs) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -263,7 +263,7 @@ def cmd_verify(args) -> int:
     from . import verify
 
     names = verify.SUITES if args.suite == "all" else (args.suite,)
-    checks = verify.run_suites(names, max_n=args.max_n, include_e78=args.include_e78)
+    checks = verify.run_suites(names, max_n=args.max_n)
     lines = [
         f"{'PASS' if c.ok else 'FAIL'} {c.suite}.{c.name}: {c.detail}" for c in checks
     ]
@@ -341,7 +341,6 @@ def build_parser() -> _Parser:
     # suites here would import verify at every start-up
     p.add_argument("--suite", default="all", metavar="NAME", help="one suite, or all")
     p.add_argument("--max-n", type=max_n_int, default=6, dest="max_n")
-    p.add_argument("--include-e78", action="store_true", dest="include_e78")
 
     return parser
 

@@ -302,24 +302,20 @@ def test_out_path_that_cannot_be_written_exits_one(target, tmp_path):
     assert line.startswith(f"catborel: error: cannot write {path}: ")
 
 
+def test_empty_out_path_exits_one():
+    # an empty --out is a path that cannot be opened, not a request for stdout
+    code, out, err = run_cli("bn", "--upto", "3", "--out", "")
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("catborel: error: cannot write : ")
+
+
 def test_verify_unknown_suite_exits_one():
     code, out, err = run_cli("verify", "--suite", "bogus", "--max-n", "2")
     assert code == 1
     assert out == ""
     assert err.splitlines()[-1] == "catborel: error: unknown suite 'bogus'"
-
-
-@pytest.mark.parametrize("suite", ["matrices", "dyck", "rootsys", "ideals", "supports", "all"])
-def test_verify_include_e78_needs_the_rootsys_suite(suite):
-    # only the rootsys suite reads the flag; elsewhere it is refused, not ignored
-    code, out, err = run_cli("verify", "--suite", suite, "--max-n", "2", "--include-e78")
-    if suite in ("rootsys", "all"):
-        assert code == 0
-        assert out.endswith(" checks passed (max-n 2)\n")
-        return
-    assert code == 1
-    assert out == ""
-    assert err.splitlines() == ["catborel: error: --include-e78 needs the rootsys suite"]
 
 
 def test_threads_flag_does_not_change_output():

@@ -1,6 +1,6 @@
 import pytest
 
-from catborel import supports, verify
+from catborel import ideals, supports, verify
 
 
 def test_run_suites_refuses_max_n_below_two():
@@ -29,3 +29,18 @@ def test_bracket_checks_fail_on_naive_witnesses(monkeypatch):
         checks = verify.run_suites(("supports",), max_n=max_n)
         failed = {c.name for c in checks if not c.ok}
         assert failed == {"witness_brackets", "level_two_witnesses"}, max_n
+
+
+def test_listing_checks_fail_when_the_listings_are_empty(monkeypatch):
+    # a check that examines no object fails; a negative control that still
+    # fails does not count as an examined object
+    monkeypatch.setattr(ideals, "basic_ideals", lambda n: ())
+    monkeypatch.setattr(supports, "enumerate_classes", lambda n: [])
+    checks = verify.run_suites(("ideals", "supports"), max_n=4)
+    failed = {c.name for c in checks if not c.ok}
+    assert failed == {
+        "enumeration_matches_formulas", "encoding_round_trips", "generator_count_two_ways",
+        "quasi_abelian_bracket_oracle", "qnd_two_ways", "matrix_oracle",
+        "class_counts_pinned", "layer_restrictions", "witness_brackets",
+        "basic_ideal_embedding", "level_two_witnesses",
+    }
