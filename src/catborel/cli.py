@@ -43,22 +43,11 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _int_at_least(text: str, minimum: int) -> int:
-    value = int(text)
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-    return value
-
-
 def positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def max_n_int(text: str) -> int:
-    """``verify --max-n``, refused below ``verify.MIN_MAX_N`` with one message."""
-    from . import verify
-
-    return _int_at_least(text, verify.MIN_MAX_N)
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _json_dump(obj) -> str:
@@ -104,9 +93,6 @@ def cmd_cells(args) -> int:
     if args.i is not None or args.j is not None:
         if args.i is None or args.j is None:
             raise ValueError("--i and --j must be given together")
-        # the library's empty index-0 cells are a convention, not a cell to ask for
-        if not (1 <= args.i <= n and 1 <= args.j <= n):
-            raise ValueError(f"--i and --j must lie in 1..{n}, got {args.i} and {args.j}")
         words = [p.word for p in dyck.cell_paths(n, args.i, args.j)]
         if args.format == "json":
             _emit(_json_dump({"n": n, "i": args.i, "j": args.j, "paths": words}), args.out)
@@ -279,10 +265,12 @@ def build_parser() -> _Parser:
 
     def command(name, fn, formats, **kwargs):
         """A subcommand accepting only the formats it implements; the
-        first one is the default."""
+        first one is the default, and a command with one format takes no
+        ``--format``."""
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=formats, default=formats[0])
+        if len(formats) > 1:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", metavar="PATH", default=None)
         return p
 
@@ -340,7 +328,8 @@ def build_parser() -> _Parser:
     # no choices: verify.run_suites refuses an unknown suite, and listing the
     # suites here would import verify at every start-up
     p.add_argument("--suite", default="all", metavar="NAME", help="one suite, or all")
-    p.add_argument("--max-n", type=max_n_int, default=6, dest="max_n")
+    # verify.run_suites refuses a max-n below 2
+    p.add_argument("--max-n", type=int, default=6, dest="max_n")
 
     return parser
 

@@ -13,10 +13,11 @@ height).  Each cell is generated directly from its fixed first and last
 peak, counted by two closed formulas (a ballot-style triangle and a
 reflection-principle binomial difference), and every nonempty cell has
 a unique dominance-minimal member, the envelope of two tents and the
-staircase.  The ``min_partner`` of a path p is the minimal member of the
-reflected cell (n - last, n - first); it is the dominance threshold that
-a second path must clear to be compatible with p in the pairing used by
-:mod:`catborel.ideals`.
+staircase.  The ``reflected_cell`` of a path p is (n - last, n - first):
+a second path is compatible with p in the pairing used by
+:mod:`catborel.ideals` when its first and last peaks reach it, and the
+``min_partner`` of p, that cell's minimal member, is the dominance
+threshold such a path must clear.
 
 Word order is always lexicographic with 'f' < 'r', which makes every
 enumeration in this module deterministic.
@@ -175,20 +176,22 @@ def all_paths(n: int) -> tuple[DyckPath, ...]:
     return _walk("", 0, 2 * n, 0, "")
 
 
+def _check_cell(n: int, i: int, j: int) -> None:
+    """Refuse a cell index outside 1..n, the peak heights a path can have."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"cell indices must lie in 1..{n}, got {i} and {j}")
+
+
 @lru_cache(maxsize=None)
 def cell_paths(n: int, i: int, j: int) -> tuple[DyckPath, ...]:
     """Paths of semilength n with first peak height i and last peak height j,
-    in word order.
+    in word order, for 1 <= i, j <= n.
 
-    Index 0 in either slot names an empty cell by convention.  Only the
-    pyramid has a peak of height n.  For 1 <= i, j <= n - 1 every member
+    Only the pyramid has a peak of height n.  For i, j <= n - 1 every member
     is ``r^i f Y r f^j``, where the middle word Y of 2n - i - j - 2 steps
     runs from height i - 1 to height j - 1 without dropping below 0.
     """
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"cell indices must lie in 0..{n}")
-    if i == 0 or j == 0:
-        return ()
+    _check_cell(n, i, j)
     if i == n or j == n:
         return (pyramid(n),) if i == j else ()
     return _walk(RISE * i + FALL, i - 1, 2 * n - i - j - 2, j - 1, RISE + FALL * j)
@@ -215,9 +218,8 @@ def cell_min(n: int, a: int, b: int) -> DyckPath:
     is a path with first peak a and last peak b whenever the cell is
     nonempty, so it is the minimum, built in O(n).
     """
-    if not (0 <= a <= n and 0 <= b <= n):
-        raise ValueError(f"cell indices must lie in 0..{n}")
-    if a == 0 or b == 0 or (n in (a, b) and a != b):
+    _check_cell(n, a, b)
+    if n in (a, b) and a != b:
         raise ValueError(f"cell ({a},{b}) of semilength {n} is empty")
     low = _path_from_heights(
         tuple(max(a - abs(x - a), b - abs(2 * n - b - x), x % 2) for x in range(2 * n + 1))
@@ -227,18 +229,19 @@ def cell_min(n: int, a: int, b: int) -> DyckPath:
     return low
 
 
-def min_partner(p: DyckPath) -> DyckPath:
-    """Minimal member of the reflected cell (n - last peak, n - first peak).
-
-    The degenerate target (0, 0), reached only by the pyramid, is
-    remapped to the cell (1, 1), whose minimum is the staircase.
-    """
+def reflected_cell(p: DyckPath) -> tuple[int, int]:
+    """The threshold (n - last peak, n - first peak) that the first and
+    last peaks of every partner of p must reach; (0, 0) for the pyramid."""
     n = p.semilength
-    a = n - p.last_peak
-    b = n - p.first_peak
-    if a == 0 and b == 0:
-        a = b = 1
-    return cell_min(n, a, b)
+    return n - p.last_peak, n - p.first_peak
+
+
+def min_partner(p: DyckPath) -> DyckPath:
+    """Minimal member of the reflected cell.  The pyramid's (0, 0), the
+    only threshold with a 0, is remapped to the cell (1, 1), whose
+    minimum is the staircase."""
+    a, b = reflected_cell(p)
+    return cell_min(p.semilength, a or 1, b or 1)
 
 
 @lru_cache(maxsize=None)
@@ -277,8 +280,7 @@ def cell_count(n: int, i: int, j: int) -> int:
     """Size of cell (i, j) for 1 <= i, j <= n: a difference of two
     binomials from the reflection principle, except that row n and
     column n hold only the pyramid, at (n, n)."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("need 1 <= i, j <= n")
+    _check_cell(n, i, j)
     if n in (i, j):
         return int(i == j)
     top = (n - 1 - i) + (n - 1 - j)

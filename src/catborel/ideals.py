@@ -35,7 +35,9 @@ from itertools import accumulate, repeat
 from math import comb
 from typing import TYPE_CHECKING
 
-from .dyck import DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, peaks_at_least
+from .dyck import (
+    DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, peaks_at_least, reflected_cell,
+)
 from .frozen import Frozen
 
 if TYPE_CHECKING:
@@ -188,12 +190,12 @@ def phi(b: BasicIdeal) -> tuple[DyckPath, DyckPath]:
 
 
 def is_admissible(p: DyckPath, q: DyckPath) -> bool:
-    """Peak-threshold test: with k, m the first and last peak heights of p,
-    the first peak of q must reach n - m and its last peak n - k."""
-    n = p.semilength
-    if q.semilength != n:
+    """Peak-threshold test: the first and last peaks of q must reach the
+    reflected cell of p."""
+    if q.semilength != p.semilength:
         raise ValueError("paths must share semilength")
-    return q.first_peak >= n - p.last_peak and q.last_peak >= n - p.first_peak
+    a, b = reflected_cell(p)
+    return q.first_peak >= a and q.last_peak >= b
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +257,11 @@ def antichain_of(b: BasicIdeal) -> frozenset[WindowRoot]:
 
 @lru_cache(maxsize=None)
 def _partner_index(n: int) -> dict[tuple[int, int], tuple[DyckPath, ...]]:
-    """Per peak threshold (a, b), the paths whose first peak reaches a and
+    """Per reflected cell (a, b), the paths whose first peak reaches a and
     whose last peak reaches b, in word order; filtered from the paths whose
     first peak reaches a, which are filtered from those for the a below."""
     rows = [(q, q.first_peak, q.last_peak) for q in all_paths(n)]
-    thresholds = {(n - d, n - c) for _, c, d in rows}
+    thresholds = set(map(reflected_cell, all_paths(n)))
     reach = {}
     for a in sorted({a for a, _ in thresholds}):
         rows = reach[a] = [row for row in rows if row[1] >= a]
@@ -269,8 +271,7 @@ def _partner_index(n: int) -> dict[tuple[int, int], tuple[DyckPath, ...]]:
 def partners(p: DyckPath) -> tuple[DyckPath, ...]:
     """Every q that makes (p, q) admissible, in word order: by the tent
     argument of :func:`is_quasi_abelian`, the paths above min_partner(p)."""
-    n = p.semilength
-    return _partner_index(n)[(n - p.last_peak, n - p.first_peak)]
+    return _partner_index(p.semilength)[reflected_cell(p)]
 
 
 def enumerate_basic(n: int) -> list[BasicIdeal]:
@@ -315,13 +316,11 @@ def generators_formula(b: BasicIdeal) -> int:
     tp, tq = _table(b.p), _table(b.q)
     if not tp.s_plus and not tq.s_minus:
         return 1
-    n = b.n
-    a, bb = tp.first_peak, tp.last_peak
-    c, d = tq.first_peak, tq.last_peak
+    first, last = reflected_cell(b.p)
     count = tp.valleys + tq.tall_peaks
-    if d == n - a and n - a >= 2:
+    if last >= 2 and tq.last_peak == last:
         count -= 1
-    if c == n - bb and n - bb >= 2:
+    if first >= 2 and tq.first_peak == first:
         count -= 1
     return count
 
@@ -388,9 +387,6 @@ def qnd_direct(b: BasicIdeal) -> int:
     leave the window and are dropped.  Coroots are nonzero, so the
     component vanishes exactly when no annihilating pair is left.
     """
-    n = b.n
-    if n == 1:
-        return 1
     plus0 = p_cur = b.s_plus
     minus0 = n_cur = b.s_minus
     cartan = True  # the full Cartan at the start

@@ -181,10 +181,6 @@ class WindowRoot(Frozen):
         return f"{self.kind}:" + ",".join(str(c) for c in coords)
 
 
-def _wr_sort_key(w: WindowRoot) -> tuple:
-    return (w.level, _sort_key(tuple(-c for c in w.finite)) if w.kind == "neg" else _sort_key(w.finite), w.kind)
-
-
 class WindowPoset(Frozen):
     """The window D with both orders as bit rows: bit j of ``natural[i]``
     (resp. ``closure[i]``) is set when element i <= element j."""
@@ -313,22 +309,22 @@ def _key(v: Vector, base: int) -> int:
 
 
 def window(system: FiniteRootSystem) -> WindowPoset:
-    """The window poset of a finite root system, both orders built."""
+    """The window poset of a finite root system, both orders built.  Its
+    elements come in window order: the positive roots, delta, then the
+    shifted negatives, both root runs in ``positive_roots`` order."""
     rank = system.rank
     zero = tuple(0 for _ in range(rank))
     elements = (
-        [WindowRoot(v, 0) for v in system.positive_roots]
-        + [WindowRoot(zero, 1)]
-        + [WindowRoot(tuple(-c for c in v), 1) for v in system.positive_roots]
+        *(WindowRoot(v, 0) for v in system.positive_roots),
+        WindowRoot(zero, 1),
+        *(WindowRoot(tuple(-c for c in v), 1) for v in system.positive_roots),
     )
-    elements.sort(key=_wr_sort_key)
-    elements_t = tuple(elements)
-    n = len(elements_t)
+    n = len(elements)
     highest = system.highest_root
 
     # natural order: product order on (level, finite + level * highest)
     neg_affine = [
-        (-w.level, *(-c - w.level * h for c, h in zip(w.finite, highest))) for w in elements_t
+        (-w.level, *(-c - w.level * h for c, h in zip(w.finite, highest))) for w in elements
     ]
     natural = _dominated(neg_affine, neg_affine)
 
@@ -340,7 +336,7 @@ def window(system: FiniteRootSystem) -> WindowPoset:
     lift = base**rank
     roots = [_key(v, base) for v in system.positive_roots]
     steps = {0, lift, *roots, *(lift + k for k in roots), *(lift - k for k in roots)}
-    keys = [w.level * lift + _key(w.finite, base) for w in elements_t]
+    keys = [w.level * lift + _key(w.finite, base) for w in elements]
     closure = [
         sum(1 << j for j, ky in enumerate(keys) if ky - kx in steps) for kx in keys
     ]
@@ -353,7 +349,7 @@ def window(system: FiniteRootSystem) -> WindowPoset:
     _check_partial_order(natural, "natural")
     if closure != natural:  # equal rows pass or fail alike
         _check_partial_order(closure, "closure")
-    return WindowPoset(system, elements_t, tuple(natural), tuple(closure))
+    return WindowPoset(system, elements, tuple(natural), tuple(closure))
 
 
 def _check_partial_order(rows: list[int], name: str) -> None:

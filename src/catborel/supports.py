@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 from .dyck import (
     DyckPath,
     all_paths,
+    cell_min,
     floor_gap_points,
     floor_valleys,
     min_partner,
@@ -156,20 +157,13 @@ def check_layer_restrictions(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prim
     simples = {(k, k) for k in range(1, n)}
     if simples <= minus_intervals(q) and p_prime != bottom:
         return False
-    corner = _corner_path(n)
+    # the negative layer holding everything except the longest root
+    corner = cell_min(n, n - 1, n - 1)
     if p == bottom and q not in (top, corner):
         return False
     if p_prime == bottom and q_prime not in (top, corner):
         return False
     return True
-
-
-def _corner_path(n: int) -> DyckPath:
-    """Encoding of the negative layer holding everything except the
-    longest root: r^(n-1) f r f^(n-1)."""
-    if n == 1:
-        return pyramid(1)
-    return DyckPath("r" * (n - 1) + "f" + "r" + "f" * (n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -294,21 +294,15 @@ def suite_supports(max_n: int) -> list[Check]:
 MIN_MAX_N = 2
 
 
-def run_suites(names, max_n: int = 6) -> list[Check]:
-    """Run the named suites; ``max_n`` must be at least ``MIN_MAX_N``."""
+def run_suites(names, max_n: int) -> list[Check]:
+    """Run the named suites of ``SUITES``, each ``suite_<name>``; ``max_n``
+    must be at least ``MIN_MAX_N``."""
     if max_n < MIN_MAX_N:
         raise ValueError(f"max-n must be at least {MIN_MAX_N}, got {max_n}")
-    # looked up per call, so that a wrapper set on a suite function is used
-    table = {
-        "matrices": suite_matrices,
-        "dyck": suite_dyck,
-        "rootsys": suite_rootsys,
-        "ideals": suite_ideals,
-        "supports": suite_supports,
-    }
     out: list[Check] = []
     for name in names:
-        if name not in table:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        out.extend(table[name](max_n))
+        # looked up per call, so that a wrapper set on a suite function is used
+        out.extend(globals()[f"suite_{name}"](max_n))
     return out

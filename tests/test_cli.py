@@ -62,11 +62,11 @@ def test_cells_listing_and_counts():
 @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 0), (-1, 2), (4, 1), (1, 5)])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_cells_index_outside_one_to_n_exits_one(i, j, fmt):
-    # index 0 names an empty cell inside the library, but is no cell of n
+    # the peak heights of a path of semilength n lie in 1..n
     code, out, err = run_cli("cells", "--n", "3", "--i", str(i), "--j", str(j), "--format", fmt)
     assert code == 1
     assert out == ""
-    assert "--i and --j must lie in 1..3" in err
+    assert "cell indices must lie in 1..3" in err
 
 
 def test_cells_empty_cell_in_range_exits_zero():
@@ -359,14 +359,12 @@ def test_out_of_range_integers_exit_one(args):
 
 def test_verify_below_two_exits_one():
     # at max-n 1 every enumerating check would see nothing but n = 1;
-    # 0 and 1 are refused by the same parser check with the same message
+    # 0 and 1 are refused by verify.run_suites with the same message
     for value in ("0", "1"):
         code, out, err = run_cli("verify", "--max-n", value)
         assert code == 1
         assert out == ""
-        assert err.splitlines()[-1] == (
-            f"catborel verify: error: argument --max-n: must be at least 2, got {value}"
-        )
+        assert err.splitlines()[-1] == f"catborel: error: max-n must be at least 2, got {value}"
 
 
 FORMATS = ("table", "json", "csv", "bfile")
@@ -380,7 +378,8 @@ SUPPORTED = {
     ("support-classes", "--n", "2"): FORMATS,
     ("split-search", "--type", "A2"): ("table", "json"),
     ("order-check", "--type", "A2"): ("table", "json"),
-    ("verify", "--max-n", "2"): ("table",),
+    # verify prints only its table, so it takes no --format
+    ("verify", "--max-n", "2"): (),
 }
 
 
@@ -399,12 +398,17 @@ def test_unsupported_format_exits_one(args, capsys):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "invalid choice" in captured.err
+    if SUPPORTED[args[:-2]]:
+        assert "invalid choice" in captured.err
+    else:
+        assert f"unrecognized arguments: --format {args[-1]}" in captured.err
 
 
 @pytest.mark.parametrize(
     "args",
-    [(*cmd, "--format", fmt) for cmd, supported in SUPPORTED.items() for fmt in supported],
+    [(*cmd, "--format", fmt) for cmd, supported in SUPPORTED.items() for fmt in supported]
+    # a command without --format prints its one format
+    + [cmd for cmd, supported in SUPPORTED.items() if not supported],
 )
 def test_supported_format_exits_zero(args, capsys):
     assert cli.main(list(args)) == 0

@@ -142,7 +142,8 @@ def test_all_paths_match_combinations_reference():
 def test_cell_examples():
     assert len(cell_paths(4, 1, 1)) == 2
     assert cell_paths(3, 2, 3) == ()
-    assert cell_paths(3, 0, 2) == ()
+    with pytest.raises(ValueError, match=r"cell indices must lie in 1\.\.3"):
+        cell_paths(3, 0, 2)
     assert cell_paths(2, 2, 2) == (pyramid(2),)
 
 
@@ -164,13 +165,23 @@ def _brute_cell(n, i, j):
 
 def test_cell_paths_match_brute_filter():
     for n in range(1, 10):
-        for i in range(n + 1):
-            for j in range(n + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
                 assert cell_paths(n, i, j) == _brute_cell(n, i, j), (n, i, j)
+    with pytest.raises(ValueError):
+        cell_paths(4, 0, 1)
     with pytest.raises(ValueError):
         cell_paths(4, 5, 1)
     with pytest.raises(ValueError):
         cell_paths(4, 1, -1)
+
+
+@pytest.mark.parametrize("fn", [cell_paths, cell_min, cell_count])
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 0), (4, 1), (1, 4)])
+def test_cell_functions_refuse_indices_outside_one_to_n(fn, i, j):
+    # one range check, and one message, for every function of a cell
+    with pytest.raises(ValueError, match=rf"^cell indices must lie in 1\.\.3, got {i} and {j}$"):
+        fn(3, i, j)
 
 
 def test_cell_min_is_least_member():

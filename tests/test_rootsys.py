@@ -327,6 +327,19 @@ def test_window_matches_brute_reference(label):
     assert as_natural.cover_relations() == brute_covers(poset.elements, natural)
 
 
+@pytest.mark.parametrize("label", sorted(set(EXPECTED) | set(WINDOW_TYPES)))
+def test_window_elements_in_window_order(label):
+    # positive roots at level 0, delta, then the negated positive roots at
+    # level 1, both runs in the order of positive_roots
+    rs = build_root_system(label)
+    zero = tuple(0 for _ in range(rs.rank))
+    assert window(rs).elements == (
+        *(WindowRoot(v, 0) for v in rs.positive_roots),
+        WindowRoot(zero, 1),
+        *(WindowRoot(tuple(-c for c in v), 1) for v in rs.positive_roots),
+    )
+
+
 def test_cover_relations_of_a_relation_that_is_not_an_order():
     # the rows and the brute loop read the same definition on any table
     poset = window(build_root_system("A2"))

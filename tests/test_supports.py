@@ -140,6 +140,21 @@ def test_layer_restrictions_designed_failures():
     assert not check_layer_restrictions(*quad("rrff", "rfrf", "rfrf", "rfrf"))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_layer_restrictions_full_layers(n):
+    top, bottom = pyramid(n), staircase(n)
+    # the negative layer holding everything except the longest root
+    corner = DyckPath("r" * (n - 1) + "f" + "r" + "f" * (n - 1))
+    assert check_layer_restrictions(bottom, corner, bottom, top)
+    for path in all_paths(n):
+        # (d): a full leading positive layer leaves q everything or the corner
+        if path not in (top, corner):
+            assert not check_layer_restrictions(bottom, path, bottom, top), path
+        # (c): every negated simple root in q forces a full primed positive layer
+        if path not in (bottom, top):
+            assert not check_layer_restrictions(top, corner, path, top), path
+
+
 def test_witnesses_verify():
     for n in range(1, 5):
         for t, _ in enumerate_classes(n):
