@@ -169,9 +169,9 @@ def cmd_quasi_abelian(args) -> int:
 
 
 def cmd_qnd_histogram(args) -> int:
-    from . import ideals
+    from . import sequences
 
-    pairs = sorted(ideals.qnd_histogram(args.n).items())
+    pairs = list(sequences.qnd_row(args.n))
     if args.format == "json":
         _emit(_json_dump({"n": args.n, "histogram": [{"qnd": k, "count": v} for k, v in pairs]}), args.out)
     else:

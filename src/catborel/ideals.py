@@ -430,7 +430,9 @@ def _qnd(tp: _PathTable, tq: _PathTable) -> int:
 
 def qnd_histogram(n: int) -> Counter[int]:
     """How many basic ideals of semilength n have each quasi-nilpotency
-    degree, read per pair from the two path tables: no ideal is built."""
+    degree, read per pair from the two path tables: no ideal is built.
+    The oracle of the closed-form row :func:`catborel.sequences.qnd_row`,
+    run only by ``verify`` and the tests."""
     hist: Counter[int] = Counter()
     for p in all_paths(n):
         hist.update(map(_qnd, repeat(_table(p)), map(_table, partners(p))))

@@ -13,7 +13,7 @@ defaults where it evaluates closed formulas.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
 from . import dyck, ideals, loopalgebra, matrices, rootsys, sequences, supports
 from .frozen import Frozen
@@ -104,6 +104,13 @@ def _qnd_agrees(b) -> bool:
         and (m != 0 or qd == 1)
         and (qd == 1) == ideals.is_quasi_abelian(b)
     )
+
+
+def _qnd_row_agrees(n: int) -> bool:
+    """The conjectural closed-form row of the qnd histogram against the
+    pair scan, and its total against the listed ideals."""
+    row = dict(sequences.qnd_row(n))
+    return row == ideals.qnd_histogram(n) and sum(row.values()) == len(ideals.basic_ideals(n))
 
 
 def _catalan_matrices(bound: int) -> dict[int, matrices.Matrix]:
@@ -233,7 +240,10 @@ def suite_ideals(max_n: int) -> list[Check]:
             ideals.is_quasi_abelian(b) == ideals.is_quasi_abelian_bracket(b)
             for _, b in listed(bound5)
         )),
-        ("qnd_two_ways", f"n<={bound6}", (_qnd_agrees(b) for _, b in listed(bound6))),
+        ("qnd_two_ways", f"n<={bound6}", chain(
+            (_qnd_agrees(b) for _, b in listed(bound6)),
+            map(_qnd_row_agrees, range(1, bound6 + 1)),
+        )),
         ("matrix_oracle", f"n<={bound5}, negative controls fail", (
             controls_fail and ideals.verify_basic_in_truncation(b) for _, b in listed(bound5)
         )),

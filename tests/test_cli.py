@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from catborel import cli, dyck, ideals, matrices, sequences
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+QND_200_SHA256 = "4885874f5835aa027f7ca82732dced19f9a8395ca70d4f28900cba9cad2fd8f4"
 
 
 def run_cli(*args):
@@ -129,6 +131,16 @@ def test_qnd_histogram_sums_to_count():
     pairs = [line.split() for line in out.strip().split("\n")]
     assert sum(int(v) for _, v in pairs) == 82
     assert pairs[0] == ["1", "44"]
+
+
+def test_qnd_histogram_at_200_sums_to_b_200():
+    # CI pins the sha256 of these bytes
+    code, out, _ = run_cli("qnd-histogram", "--n", "200")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == QND_200_SHA256
+    pairs = [tuple(map(int, line.split())) for line in out.splitlines()]
+    assert [k for k, _ in pairs] == list(range(1, 201))
+    assert sum(v for _, v in pairs) == dict(sequences.b_sequence(200))[200]
 
 
 def test_support_classes_csv():
@@ -472,7 +484,7 @@ IMPORTS = {
     ("split-search", "--type", "A2"): ({"cli", "frozen", "rootsys"}, False),
     ("order-check", "--type", "A2"): ({"cli", "frozen", "rootsys"}, False),
     ("enumerate-basic", "--n", "3"): ({"cli", "dyck", "frozen", "ideals"}, False),
-    ("qnd-histogram", "--n", "3"): ({"cli", "dyck", "frozen", "ideals"}, False),
+    ("qnd-histogram", "--n", "3"): ({"cli", "sequences"}, False),
     ("support-classes", "--n", "2"): ({"cli", "dyck", "frozen", "ideals", "supports"}, False),
     ("verify", "--max-n", "2"): (ALL_MODULES, False),
 }

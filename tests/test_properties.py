@@ -49,6 +49,7 @@ from catborel.ideals import (
 from catborel.supports import classify, enumerate_classes
 from test_dyck import reflect
 from test_ideals import fresh_nd_plus, fresh_powers
+from test_sequences import split_count
 
 
 @st.composite
@@ -318,3 +319,10 @@ def test_omega_matches_its_entrywise_definition(rows):
         for i in range(1, n + 1)
     ]
     assert omega(rows) == tuple(map(tuple, expect))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 400))
+def test_split_count_matches_the_pairs(k, m):
+    # pi_k(m) of Conjectures Q and N: the pairs a, b >= 0 with a k + b (k + 1) = m
+    assert split_count(k, m) == sum((m - a * k) % (k + 1) == 0 for a in range(m // k + 1))

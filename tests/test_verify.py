@@ -1,6 +1,6 @@
 import pytest
 
-from catborel import ideals, supports, verify
+from catborel import ideals, sequences, supports, verify
 
 
 def test_run_suites_refuses_max_n_below_two():
@@ -44,3 +44,16 @@ def test_listing_checks_fail_when_the_listings_are_empty(monkeypatch):
         "class_counts_pinned", "layer_restrictions", "witness_brackets",
         "basic_ideal_embedding", "level_two_witnesses",
     }
+
+
+def test_qnd_check_fails_when_the_closed_form_row_is_off(monkeypatch):
+    # qnd_two_ways holds the closed-form row to the pair scan per n
+    row = sequences.qnd_row
+
+    def off_by_one(n):
+        for k, count in row(n):
+            yield k, count + (k == n)
+
+    monkeypatch.setattr(sequences, "qnd_row", off_by_one)
+    checks = verify.run_suites(("ideals",), max_n=2)
+    assert {c.name for c in checks if not c.ok} == {"qnd_two_ways"}
