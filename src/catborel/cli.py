@@ -120,10 +120,10 @@ def _pairs_json(pairs: tuple[tuple[int, int], ...]) -> str:
 
 
 def _record_json(r: dict) -> str:
-    """One ``ideals.ideal_record`` as ``_json_dump`` renders it as a list
-    element: the text of ``json.dumps(r, sort_keys=True, indent=2)``
-    indented by two spaces.  The ``p``/``q`` words are letters only, so
-    nothing needs escaping."""
+    """One record of ``ideals.basic_records`` as ``_json_dump`` renders it
+    as a list element: the text of ``json.dumps(r, sort_keys=True,
+    indent=2)`` indented by two spaces.  The ``p``/``q`` words are
+    letters only, so nothing needs escaping."""
     return (
         "  {\n"
         f'    "generators": {r["generators"]},\n'
@@ -153,7 +153,7 @@ def cmd_enumerate_basic(args) -> int:
     # read a higher peak RSS in perfbench, whose reading includes its own.
     from . import ideals
 
-    records = (ideals.ideal_record(b) for b in ideals.enumerate_basic(args.n))
+    records = ideals.basic_records(args.n)
     if args.format == "json":
         _emit("[\n" + ",\n".join(map(_record_json, records)) + "\n]\n", args.out)
     else:

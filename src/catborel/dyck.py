@@ -85,14 +85,6 @@ class DyckPath(Frozen):
         return tuple(out)
 
     @cached_property
-    def peaks(self) -> tuple[tuple[int, int], ...]:
-        """(x, height) of every peak, left to right."""
-        w = self.word
-        return tuple(
-            (x, self.heights[x]) for x in range(1, len(w)) if w[x - 1] == RISE and w[x] == FALL
-        )
-
-    @cached_property
     def valleys(self) -> tuple[tuple[int, int], ...]:
         """(x, height) of every valley, left to right."""
         w = self.word
@@ -108,10 +100,6 @@ class DyckPath(Frozen):
     @property
     def last_peak(self) -> int:
         return len(self.word) - len(self.word.rstrip(FALL))
-
-
-def peaks_at_least(p: DyckPath, height: int) -> int:
-    return sum(1 for _, h in p.peaks if h >= height)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,8 @@ the greatest right end in ``s_minus`` from i.  The admissible pairs are
 those passing the peak-threshold test of :func:`is_admissible`, and
 equivalently those with ``q`` above the ``min_partner`` of ``p``; what
 the invariants need is kept in a table per path, ``s_plus`` side from
-``p`` alone, ``s_minus`` side from ``q``.
+``p`` alone, ``s_minus`` side from ``q``, and :func:`basic_records`
+lists every ideal's record from those tables without building one.
 
 On top of the encoding sit the counting formulas (the cell sums that
 check the closed forms of :mod:`catborel.sequences`, proved in README's
@@ -33,14 +34,15 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from math import comb
+from operator import le
 from typing import TYPE_CHECKING
 
-from .dyck import (
-    DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, peaks_at_least, reflected_cell,
-)
+from .dyck import DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, reflected_cell
 from .frozen import Frozen
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     from .loopalgebra import Span
     from .rootsys import WindowPoset, WindowRoot
 
@@ -170,7 +172,10 @@ class _PathTable:
 
     @cached_property
     def tall_peaks(self) -> int:
-        return peaks_at_least(self.path, 2)
+        """The peaks of height at least two: fall k ends a peak when a rise
+        precedes it (k = 0, or depth[k] > depth[k - 1]), at height depth[k] - k."""
+        depth = self.depth
+        return sum(d > c and d - k >= 2 for k, (c, d) in enumerate(zip((0, *depth), depth)))
 
 
 _table = lru_cache(maxsize=None)(_PathTable)
@@ -313,10 +318,14 @@ def generators_formula(b: BasicIdeal) -> int:
     Each correction applies only when the coinciding peak has height at
     least two, i.e. only when that peak was actually counted.
     """
-    tp, tq = _table(b.p), _table(b.q)
+    return _generators(_table(b.p), _table(b.q), *reflected_cell(b.p))
+
+
+def _generators(tp: _PathTable, tq: _PathTable, first: int, last: int) -> int:
+    """:func:`generators_formula` from the tables of p and q, and p's
+    reflected cell (first, last)."""
     if not tp.s_plus and not tq.s_minus:
         return 1
-    first, last = reflected_cell(b.p)
     count = tp.valleys + tq.tall_peaks
     if last >= 2 and tq.last_peak == last:
         count -= 1
@@ -491,7 +500,8 @@ def basic_ideals(n: int) -> tuple[BasicIdeal, ...]:
 
 
 def ideal_record(b: BasicIdeal) -> dict:
-    """JSON-ready record of one basic ideal; its interval tuples are shared per path."""
+    """JSON-ready record of one basic ideal, its interval tuples shared per
+    path: the oracle of :func:`basic_records`, run by ``verify`` and tests."""
     return {
         "n": b.n,
         "p": b.p.word,
@@ -503,3 +513,32 @@ def ideal_record(b: BasicIdeal) -> dict:
         "nd_plus": nd_plus(b),
         "qnd": qnd_from_plus_degree(b),
     }
+
+
+def basic_records(n: int) -> Iterator[dict]:
+    """:func:`ideal_record` over :func:`enumerate_basic`, in its order, read
+    per p and per pair from the two path tables: no ideal is built."""
+    for p in all_paths(n):
+        yield from _records(p, partners(p))
+
+
+def _records(p: DyckPath, qs: Iterable[DyckPath]) -> Iterator[dict]:
+    """The records of the pairs (p, q), q in qs, with what p alone fixes read
+    once; a q that is no partner of p is refused, as BasicIdeal refuses it."""
+    tp, (first, last) = _table(p), reflected_cell(p)
+    n, word, s_plus, m, heights = p.semilength, p.word, tp.s_plus, len(tp.thresholds), p.heights
+    for q in qs:
+        tq = _table(q)
+        if tq.first_peak < first or tq.last_peak < last:
+            raise ValueError(f"pair ({p}, {q}) is not admissible")
+        yield {
+            "n": n,
+            "p": word,
+            "q": q.word,
+            "s_plus": s_plus,
+            "s_minus": tq.s_minus,
+            "generators": _generators(tp, tq, first, last),
+            "quasi_abelian": all(map(le, q.heights, heights)),  # path_leq(q, p)
+            "nd_plus": m,
+            "qnd": _qnd(tp, tq),
+        }

@@ -212,10 +212,11 @@ def suite_ideals(max_n: int) -> list[Check]:
         return ((n, b) for n in range(1, bound + 1) for b in ideals.basic_ideals(n))
 
     return _run("ideals", [
-        ("enumeration_matches_formulas", f"n<={bound8}", (
-            len(ideals.basic_ideals(n)) == B_SEQUENCE[n - 1] == ideals.b_count_formula(n)
-            for n in range(1, bound8 + 1)
-        )),
+        # per n: the listing's count, and its records read two ways
+        ("enumeration_matches_formulas", f"n<={bound8}", chain.from_iterable((
+            len(ideals.basic_ideals(n)) == B_SEQUENCE[n - 1] == ideals.b_count_formula(n),
+            list(ideals.basic_records(n)) == list(map(ideals.ideal_record, ideals.basic_ideals(n))),
+        ) for n in range(1, bound8 + 1))),
         ("square_bound", "n<=10", (
             ideals.b_count_formula(n) <= dyck.catalan_number(n) ** 2 for n in range(1, 11)
         )),

@@ -11,6 +11,7 @@ from itertools import product
 from pathlib import Path
 
 from catborel import dyck, ideals, loopalgebra, matrices, rootsys, supports
+from test_dyck import peaks_at_least
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -159,7 +160,7 @@ def test_criterion_09_generator_count_two_ways():
         c, d = q.first_peak, q.last_peak
         unguarded = (
             len(p.valleys)
-            + dyck.peaks_at_least(q, 2)
+            + peaks_at_least(q, 2)
             - (1 if d == 3 - a else 0)
             - (1 if c == 3 - bb else 0)
         )

@@ -247,6 +247,17 @@ def test_enumerate_basic_empty_s_plus_record():
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
+def test_enumerate_basic_refuses_a_non_partner(fmt, monkeypatch, capsys):
+    # a partner index that hands the staircase to itself (n = 3) prints nothing
+    found = ideals.partners
+    monkeypatch.setattr(ideals, "partners", lambda p: (*found(p), dyck.staircase(p.semilength)))
+    assert cli.main(["enumerate-basic", "--n", "3", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "catborel: error: pair (rfrfrf, rfrfrf) is not admissible" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
 def test_enumerate_basic_out_matches_stdout(fmt, tmp_path, capsys):
     target = tmp_path / f"basic.{fmt}"
     args = ["enumerate-basic", "--n", "5", "--format", fmt]

@@ -3,14 +3,16 @@ from collections import Counter
 
 import pytest
 
-from catborel import rootsys
+from catborel import ideals, rootsys
 from catborel.dyck import DyckPath, all_paths, min_partner, path_leq, pyramid, staircase
 from catborel.ideals import (
     BasicIdeal,
     _partner_index,
+    _table,
     antichain_of,
     b_count_formula,
     basic_ideals,
+    basic_records,
     enumerate_basic,
     from_antichain,
     generators_direct,
@@ -35,6 +37,7 @@ from catborel.loopalgebra import stable_under
 from catborel.matrices import catalan_matrix, dot, omega
 from catborel.rootsys import WindowRoot
 from catborel.sequences import b_sequence, quasi_abelian_sequence
+from test_dyck import peaks_at_least
 from test_rootsys import closure_leq
 
 B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
@@ -320,7 +323,7 @@ def test_generator_endpoint_correction_guard():
     c, d = q.first_peak, q.last_peak
     unguarded = (
         len(p.valleys)
-        + sum(1 for _, h in q.peaks if h >= 2)
+        + peaks_at_least(q, 2)
         - (1 if d == n - a else 0)
         - (1 if c == n - bb else 0)
     )
@@ -475,6 +478,26 @@ def test_record_fields_match_oracles_at_n7():
         assert rec["generators"] == generators_direct(b)
         assert rec["qnd"] == qnd_direct(b)
         assert rec["nd_plus"] == fresh_nd_plus(b.s_plus)
+
+
+def test_basic_records_equal_ideal_record_in_enumeration_order():
+    for n in range(1, 8):
+        assert list(basic_records(n)) == [ideal_record(b) for b in enumerate_basic(n)], n
+
+
+def test_basic_records_refuse_a_partner_index_with_a_non_partner(monkeypatch):
+    # the staircase is no partner of itself for n >= 3: the records are
+    # refused as BasicIdeal refuses the pair, not printed
+    found = ideals.partners
+    monkeypatch.setattr(ideals, "partners", lambda p: (*found(p), staircase(p.semilength)))
+    with pytest.raises(ValueError, match="not admissible"):
+        list(basic_records(3))
+
+
+def test_tall_peaks_from_depth_match_the_profile():
+    for n in range(1, 10):
+        for p in all_paths(n):
+            assert _table(p).tall_peaks == peaks_at_least(p, 2), p
 
 
 def test_ideal_record_shape():

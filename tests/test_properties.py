@@ -23,6 +23,7 @@ from catborel.dyck import (
     cell_paths,
     min_partner,
     path_leq,
+    pyramid,
     staircase,
 )
 from catborel.loopalgebra import (
@@ -37,9 +38,12 @@ from catborel.loopalgebra import (
 from catborel.matrices import omega, tau
 from catborel.ideals import (
     BasicIdeal,
+    _records,
     _table,
     antichain_of,
     from_antichain,
+    generators_direct,
+    ideal_record,
     is_admissible,
     nd_plus,
     phi,
@@ -53,8 +57,10 @@ from test_sequences import split_count
 
 
 @st.composite
-def dyck_words(draw, n):
-    word, height, rises = [], 0, n
+def dyck_words(draw, n, first_peak=0):
+    """Drawn step by step; a first_peak of 1..n fixes the first peak's height."""
+    word = ["r"] * first_peak + ["f"] * (first_peak > 0)
+    height, rises = max(first_peak - 1, 0), n - first_peak
     while rises or height:
         up = rises > 0 and (height == 0 or draw(st.booleans()))
         word.append("r" if up else "f")
@@ -76,20 +82,39 @@ def _pointwise_max(x: DyckPath, y: DyckPath) -> DyckPath:
     return DyckPath("".join("r" if b > a else "f" for a, b in zip(heights, heights[1:])))
 
 
-@st.composite
-def admissible_pairs(draw, lo=9, hi=20):
-    """A random p, and a random q raised until its first peak reaches
-    n - last peak of p and its last peak reaches n - first peak of p."""
-    p = draw(dyck_paths(lo, hi))
+def _raised(p: DyckPath, q: DyckPath) -> DyckPath:
+    """q raised until its first peak reaches n - last peak of p and its
+    last peak reaches n - first peak of p."""
     n = p.semilength
-    q = DyckPath(draw(dyck_words(n)))
     a, b = n - p.last_peak, n - p.first_peak
     if a:
         k = min(a, n - b)
-        q = _pointwise_max(q, DyckPath("r" * a + "f" * k + "r" * (n - a) + "f" * (n - k)))
-    else:
-        q = _pointwise_max(q, staircase(n))
-    return p, q
+        return _pointwise_max(q, DyckPath("r" * a + "f" * k + "r" * (n - a) + "f" * (n - k)))
+    return _pointwise_max(q, staircase(n))
+
+
+@st.composite
+def admissible_pairs(draw, lo=9, hi=20):
+    """A random p, and a random q raised to a partner of p."""
+    p = draw(dyck_paths(lo, hi))
+    return p, _raised(p, DyckPath(draw(dyck_words(p.semilength))))
+
+
+@st.composite
+def partnered_paths(draw, lo=9, hi=14):
+    """A random p with some of its partners: min_partner(p), whose peaks
+    sit exactly on p's reflected cell, random paths raised to partners,
+    and the pyramid.  Listing all of them would need every path of
+    semilength n.  The first peak of p has a drawn height, and p is
+    mirrored half the time, so that thresholds of 1 and 2 (n minus a peak
+    of p), where the generator count's peak corrections switch on, come
+    up often."""
+    n = draw(st.integers(lo, hi))
+    p = DyckPath(draw(dyck_words(n, draw(st.integers(1, n)))))
+    if draw(st.booleans()):
+        p = reflect(p)
+    raised = [_raised(p, DyckPath(w)) for w in draw(st.lists(dyck_words(n), max_size=6))]
+    return p, [min_partner(p), *raised, pyramid(n)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,6 +135,19 @@ def test_cached_degrees_match_fresh_computation(pair):
     for _ in range(2):  # the second round reads the per-path cache
         assert nd_plus(b) == fresh_nd_plus(b.s_plus)
         assert qnd_from_plus_degree(b) == qnd_direct(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partnered_paths())
+def test_records_per_p_match_ideal_record(case):
+    # the per-p loop of enumerate-basic against one BasicIdeal per pair;
+    # the generator count, which both read from one helper, also against
+    # the window antichain
+    p, qs = case
+    records = list(_records(p, qs))
+    built = [BasicIdeal(p, q) for q in qs]
+    assert records == [ideal_record(b) for b in built]
+    assert [r["generators"] for r in records] == [generators_direct(b) for b in built]
 
 
 @settings(max_examples=60, deadline=None)

@@ -57,3 +57,17 @@ def test_qnd_check_fails_when_the_closed_form_row_is_off(monkeypatch):
     monkeypatch.setattr(sequences, "qnd_row", off_by_one)
     checks = verify.run_suites(("ideals",), max_n=2)
     assert {c.name for c in checks if not c.ok} == {"qnd_two_ways"}
+
+
+def test_enumeration_check_fails_when_a_production_record_is_off(monkeypatch):
+    # enumeration_matches_formulas holds the records enumerate-basic prints
+    # to ideal_record over the listed ideals, per n
+    records = ideals.basic_records
+
+    def off_by_one(n):
+        for k, record in enumerate(records(n)):
+            yield dict(record, qnd=record["qnd"] + (k == 0))
+
+    monkeypatch.setattr(ideals, "basic_records", off_by_one)
+    checks = verify.run_suites(("ideals",), max_n=2)
+    assert {c.name for c in checks if not c.ok} == {"enumeration_matches_formulas"}
