@@ -1,8 +1,11 @@
 """Command line surface.
 
 Every command is deterministic for fixed flags: enumerations are emitted
-in the library's fixed orders and JSON is dumped with sorted keys.  Exit
-codes: 0 success, 1 usage error, 2 verification failure, 3 arithmetic
+in the library's fixed orders and JSON is dumped with sorted keys.  A
+command computes its whole output and a verdict and writes nothing;
+``main`` writes the output to stdout or to ``--out`` and sets every exit
+code.  Exit codes: 0 success, 1 usage error, 2 verification failure
+(``split-search``, ``order-check`` and ``verify`` only), 3 arithmetic
 failure or breached internal invariant (arithmetic overflow cannot happen
 with Python integers, so in practice this code flags invariant breaches).
 """
@@ -32,17 +35,6 @@ def _bfile(pairs) -> str:
     return "".join(f"{k} {v}\n" for k, v in pairs)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is not None:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -56,58 +48,51 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_sequence(values, args) -> None:
+def _sequence(values, fmt: str) -> str:
     """(n, value) pairs, read once, as a b-file, a JSON sequence or a CSV
     table."""
-    if args.format == "json":
-        _emit(_json_dump({"sequence": [{"n": n, "value": v} for n, v in values]}), args.out)
-    elif args.format == "csv":
-        _emit("n,value\n" + "".join(f"{n},{v}\n" for n, v in values), args.out)
-    else:
-        _emit(_bfile(values), args.out)
+    if fmt == "json":
+        return _json_dump({"sequence": [{"n": n, "value": v} for n, v in values]})
+    if fmt == "csv":
+        return "n,value\n" + "".join(f"{n},{v}\n" for n, v in values)
+    return _bfile(values)
 
 
-def _emit_matrix(key: str, rows: tuple[tuple[int, ...], ...], args) -> None:
+def _matrix(key: str, rows: tuple[tuple[int, ...], ...], n: int, fmt: str) -> str:
     """Square matrix rows as an aligned table, CSV rows, or JSON under ``key``."""
     from .matrices import format_table
 
-    if args.format == "json":
-        _emit(_json_dump({"n": args.n, key: rows}), args.out)
-    elif args.format == "csv":
-        _emit("".join(",".join(str(v) for v in row) + "\n" for row in rows), args.out)
-    else:
-        _emit(format_table(rows) + "\n", args.out)
+    if fmt == "json":
+        return _json_dump({"n": n, key: rows})
+    if fmt == "csv":
+        return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
+    return format_table(rows) + "\n"
 
 
-def cmd_catalan_matrix(args) -> int:
+def cmd_catalan_matrix(args) -> tuple[str, bool]:
     from . import dyck
 
-    _emit_matrix("entries", dyck.cell_count_rows(args.n), args)
-    return 0
+    return _matrix("entries", dyck.cell_count_rows(args.n), args.n, args.format), True
 
 
-def cmd_cells(args) -> int:
+def cmd_cells(args) -> tuple[str, bool]:
     from . import dyck
 
     n = args.n
-    if args.i is not None or args.j is not None:
-        if args.i is None or args.j is None:
-            raise ValueError("--i and --j must be given together")
-        words = [p.word for p in dyck.cell_paths(n, args.i, args.j)]
-        if args.format == "json":
-            _emit(_json_dump({"n": n, "i": args.i, "j": args.j, "paths": words}), args.out)
-        else:
-            _emit("".join(w + "\n" for w in words), args.out)
-        return 0
-    _emit_matrix("counts", dyck.cell_count_rows(n), args)
-    return 0
+    if args.i is None and args.j is None:
+        return _matrix("counts", dyck.cell_count_rows(n), n, args.format), True
+    if args.i is None or args.j is None:
+        raise ValueError("--i and --j must be given together")
+    words = [p.word for p in dyck.cell_paths(n, args.i, args.j)]
+    if args.format == "json":
+        return _json_dump({"n": n, "i": args.i, "j": args.j, "paths": words}), True
+    return "".join(w + "\n" for w in words), True
 
 
-def cmd_bn(args) -> int:
+def cmd_bn(args) -> tuple[str, bool]:
     from . import sequences
 
-    _emit_sequence(sequences.b_sequence(args.upto), args)
-    return 0
+    return _sequence(sequences.b_sequence(args.upto), args.format), True
 
 
 @lru_cache(maxsize=None)
@@ -146,106 +131,86 @@ def _record_line(r: dict) -> str:
     )
 
 
-def cmd_enumerate_basic(args) -> int:
+def cmd_enumerate_basic(args) -> tuple[str, bool]:
     # Each record is rendered as soon as it is built, so no record dict
     # outlives its line, and the JSON skips the stdlib's pure-Python
-    # indent encoder.  The text is written in one call: 1 MB block writes
-    # read a higher peak RSS in perfbench, whose reading includes its own.
+    # indent encoder.
     from . import ideals
 
     records = ideals.basic_records(args.n)
     if args.format == "json":
-        _emit("[\n" + ",\n".join(map(_record_json, records)) + "\n]\n", args.out)
-    else:
-        _emit("".join(map(_record_line, records)), args.out)
-    return 0
+        return "[\n" + ",\n".join(map(_record_json, records)) + "\n]\n", True
+    return "".join(map(_record_line, records)), True
 
 
-def cmd_quasi_abelian(args) -> int:
+def cmd_quasi_abelian(args) -> tuple[str, bool]:
     from . import sequences
 
-    _emit_sequence(sequences.quasi_abelian_sequence(args.upto), args)
-    return 0
+    return _sequence(sequences.quasi_abelian_sequence(args.upto), args.format), True
 
 
-def cmd_qnd_histogram(args) -> int:
+def cmd_qnd_histogram(args) -> tuple[str, bool]:
     from . import sequences
 
     pairs = list(sequences.qnd_row(args.n))
     if args.format == "json":
-        _emit(_json_dump({"n": args.n, "histogram": [{"qnd": k, "count": v} for k, v in pairs]}), args.out)
-    else:
-        _emit(_bfile(pairs), args.out)
-    return 0
+        return _json_dump({"n": args.n, "histogram": [{"qnd": k, "count": v} for k, v in pairs]}), True
+    return _bfile(pairs), True
 
 
-def cmd_support_classes(args) -> int:
+def cmd_support_classes(args) -> tuple[str, bool]:
     from . import supports
 
     classes = supports.enumerate_classes(args.n)
     if args.format == "json":
-        records = [supports.class_record(t, case) for t, case in classes]
-        _emit(_json_dump(records), args.out)
-    elif args.format == "csv":
+        return _json_dump([supports.class_record(t, case) for t, case in classes]), True
+    if args.format == "csv":
         counts = Counter(case for _, case in classes)
-        body = "".join(
-            f"{args.n},1,{case},{counts[case]}\n"
-            for case in sorted(counts)
-        )
-        _emit("n,level,case,count\n" + body, args.out)
-    elif args.format == "bfile":
+        body = "".join(f"{args.n},1,{case},{counts[case]}\n" for case in sorted(counts))
+        return "n,level,case,count\n" + body, True
+    if args.format == "bfile":
         values = [(n, len(supports.enumerate_classes(n))) for n in range(1, args.n)]
-        _emit_sequence(values + [(args.n, len(classes))], args)
-    else:
-        text = "".join(
-            f"{p.word} {q.word} {pp.word} {qp.word} case={case}\n"
-            for (p, q, pp, qp), case in classes
-        )
-        _emit(text, args.out)
-    return 0
+        return _sequence(values + [(args.n, len(classes))], args.format), True
+    text = "".join(
+        f"{p.word} {q.word} {pp.word} {qp.word} case={case}\n"
+        for (p, q, pp, qp), case in classes
+    )
+    return text, True
 
 
-def cmd_split_search(args) -> int:
+def cmd_split_search(args) -> tuple[str, bool]:
     from . import rootsys
 
     rs = rootsys.build_root_system(args.type)
     hits = rootsys.highest_root_split_search(rs)
-    payload = {
-        "type": rs.label,
-        "positive_roots": len(rs.positive_roots),
-        "violations": [[list(x) for x in triple] for triple in hits],
-    }
     if args.format == "json":
-        _emit(_json_dump(payload), args.out)
-    else:
-        _emit(f"{rs.label}: {len(hits)} violating splits\n", args.out)
-    return 0 if not hits else VERIFY_EXIT
+        payload = {
+            "type": rs.label,
+            "positive_roots": len(rs.positive_roots),
+            "violations": [[list(x) for x in triple] for triple in hits],
+        }
+        return _json_dump(payload), not hits
+    return f"{rs.label}: {len(hits)} violating splits\n", not hits
 
 
-def cmd_order_check(args) -> int:
+def cmd_order_check(args) -> tuple[str, bool]:
     from . import rootsys
 
     poset = rootsys.window(rootsys.build_root_system(args.type))
     same = rootsys.orders_coincide(poset)
     label = poset.system.label
     if args.format == "json":
-        _emit(
-            _json_dump(
-                {
-                    "type": label,
-                    "window_size": len(poset.elements),
-                    "orders_coincide": same,
-                    "covers": poset.cover_relations(),
-                }
-            ),
-            args.out,
-        )
-    else:
-        _emit(f"{label}: |D|={len(poset.elements)} orders_coincide={same}\n", args.out)
-    return 0 if same else VERIFY_EXIT
+        payload = {
+            "type": label,
+            "window_size": len(poset.elements),
+            "orders_coincide": same,
+            "covers": poset.cover_relations(),
+        }
+        return _json_dump(payload), same
+    return f"{label}: |D|={len(poset.elements)} orders_coincide={same}\n", same
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, bool]:
     from . import verify
 
     names = verify.SUITES if args.suite == "all" else (args.suite,)
@@ -255,8 +220,7 @@ def cmd_verify(args) -> int:
     ]
     passed = sum(c.ok for c in checks)
     lines.append(f"{passed}/{len(checks)} checks passed (max-n {args.max_n})")
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return 0 if passed == len(checks) else VERIFY_EXIT
+    return "".join(line + "\n" for line in lines), passed == len(checks)
 
 
 def build_parser() -> _Parser:
@@ -342,7 +306,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        text, ok = args.fn(args)
+        # The text is written in one call: 1 MB block writes read a higher
+        # peak RSS in perfbench, whose reading includes its own.
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         sys.stderr.write(f"catborel: error: {exc}\n")
         return USAGE_EXIT
@@ -350,6 +324,7 @@ def main(argv=None) -> int:
         # arithmetic failure or a breached internal invariant
         sys.stderr.write(f"catborel: internal failure: {exc}\n")
         return OVERFLOW_EXIT
+    return 0 if ok else VERIFY_EXIT
 
 
 if __name__ == "__main__":

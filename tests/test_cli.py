@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catborel import cli, dyck, ideals, matrices, sequences
+from catborel import cli, dyck, ideals, matrices, rootsys, sequences, verify
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 QND_200_SHA256 = "4885874f5835aa027f7ca82732dced19f9a8395ca70d4f28900cba9cad2fd8f4"
@@ -427,15 +427,72 @@ def test_unsupported_format_exits_one(args, capsys):
         assert f"unrecognized arguments: --format {args[-1]}" in captured.err
 
 
-@pytest.mark.parametrize(
-    "args",
+SUPPORTED_ARGS = (
     [(*cmd, "--format", fmt) for cmd, supported in SUPPORTED.items() for fmt in supported]
     # a command without --format prints its one format
-    + [cmd for cmd, supported in SUPPORTED.items() if not supported],
+    + [cmd for cmd, supported in SUPPORTED.items() if not supported]
 )
+
+
+@pytest.mark.parametrize("args", SUPPORTED_ARGS)
 def test_supported_format_exits_zero(args, capsys):
     assert cli.main(list(args)) == 0
     assert capsys.readouterr().out
+
+
+def run_main_both_ways(args, tmp_path, capsys):
+    """``cli.main(args)``'s exit code and stdout, once the same run with
+    ``--out`` has been seen to give the same code, print nothing and
+    write exactly the stdout bytes."""
+    code = cli.main(list(args))
+    stdout = capsys.readouterr().out
+    target = tmp_path / "out.txt"
+    assert cli.main([*args, "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == stdout.encode()
+    return code, stdout
+
+
+@pytest.mark.parametrize("args", SUPPORTED_ARGS, ids=" ".join)
+def test_out_writes_the_stdout_bytes(args, tmp_path, capsys):
+    # main alone writes a command's text, to stdout or to --out
+    code, stdout = run_main_both_ways(args, tmp_path, capsys)
+    assert code == 0 and stdout
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_split_search_with_a_violating_split_exits_two(fmt, monkeypatch, tmp_path, capsys):
+    triple = ((1, 0), (0, 1), (1, 1))
+    monkeypatch.setattr(rootsys, "highest_root_split_search", lambda rs: [triple])
+    code, stdout = run_main_both_ways(["split-search", "--type", "A2", "--format", fmt], tmp_path, capsys)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(stdout) == {
+            "type": "A2",
+            "positive_roots": 3,
+            "violations": [[[1, 0], [0, 1], [1, 1]]],
+        }
+    else:
+        assert stdout == "A2: 1 violating splits\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_order_check_with_differing_orders_exits_two(fmt, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(rootsys, "orders_coincide", lambda poset: False)
+    code, stdout = run_main_both_ways(["order-check", "--type", "A2", "--format", fmt], tmp_path, capsys)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(stdout)["orders_coincide"] is False
+    else:
+        assert stdout.startswith("A2: ") and stdout.endswith(" orders_coincide=False\n")
+
+
+def test_verify_with_a_failing_check_exits_two(monkeypatch, tmp_path, capsys):
+    failing = verify.Check("dyck", "fake", False, "n<=2")
+    monkeypatch.setattr(verify, "run_suites", lambda names, max_n: [failing])
+    code, stdout = run_main_both_ways(["verify", "--max-n", "2"], tmp_path, capsys)
+    assert code == 2
+    assert stdout == "FAIL dyck.fake: n<=2\n0/1 checks passed (max-n 2)\n"
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch, capsys):
