@@ -10,14 +10,14 @@ of either is its y-coordinate.
 
 Paths are grouped into cells by the pair (first peak height, last peak
 height).  Each cell is generated directly from its fixed first and last
-peak, counted by two closed formulas (a ballot-style triangle and a
-reflection-principle binomial difference), and every nonempty cell has
-a unique dominance-minimal member, the envelope of two tents and the
-staircase.  The ``reflected_cell`` of a path p is (n - last, n - first):
-a second path is compatible with p in the pairing used by
-:mod:`catborel.ideals` when its first and last peaks reach it, and the
-``min_partner`` of p, that cell's minimal member, is the dominance
-threshold such a path must clear.
+peak and counted by :func:`ballot`, the package's one
+reflection-principle count, and every nonempty cell has a unique
+dominance-minimal member, the envelope of two tents and the staircase.
+The ``reflected_cell`` of a path p is (n - last, n - first): a second
+path is compatible with p in the pairing used by :mod:`catborel.ideals`
+when its first and last peaks reach it, and the ``min_partner`` of p,
+that cell's minimal member, is the dominance threshold such a path
+must clear.
 
 Word order is always lexicographic with 'f' < 'r', which makes every
 enumeration in this module deterministic.
@@ -185,8 +185,19 @@ def cell_paths(n: int, i: int, j: int) -> tuple[DyckPath, ...]:
     return _walk(RISE * i + FALL, i - 1, 2 * n - i - j - 2, j - 1, RISE + FALL * j)
 
 
+def ballot(steps: int, start: int, end: int) -> int:
+    """Number of paths of ``steps`` steps from height ``start`` to height
+    ``end`` that never go below 0: all of them less those from the mirror
+    image -start - 2 (reflection principle); 0 off the lattice (a negative
+    length or height, an end out of reach, or the wrong parity)."""
+    if steps < 0 or start < 0 or end < 0 or abs(end - start) > steps or (steps + end - start) % 2:
+        return 0
+    rises = (steps + end - start) // 2
+    return math.comb(steps, rises) - math.comb(steps, rises + start + 1)
+
+
 def catalan_number(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
+    return ballot(2 * n, 0, 0)
 
 
 def _path_from_heights(heights: tuple[int, ...]) -> DyckPath:
@@ -258,24 +269,19 @@ def catalan_triangle(i: int, j: int) -> int:
     return q
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def cell_count(n: int, i: int, j: int) -> int:
-    """Size of cell (i, j) for 1 <= i, j <= n: a difference of two
-    binomials from the reflection principle, except that row n and
-    column n hold only the pyramid, at (n, n)."""
+    """Size of cell (i, j) for 1 <= i, j <= n: the middle words of
+    :func:`cell_paths` are ballot paths, except that row n and column n
+    hold only the pyramid, at (n, n)."""
     _check_cell(n, i, j)
     if n in (i, j):
         return int(i == j)
-    top = (n - 1 - i) + (n - 1 - j)
-    return _binom(top, n - 1 - i) - _binom(top, n - i - j - 1)
+    return ballot(2 * n - 2 - i - j, i - 1, j - 1)
 
 
 def cell_count_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """The cell-count matrix C(n) as rows: row i - 1, column j - 1 holds
     the size of cell (i, j)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return tuple(tuple(cell_count(n, i, j) for j in range(1, n + 1)) for i in range(1, n + 1))

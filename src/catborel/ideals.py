@@ -33,11 +33,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from math import comb
 from operator import le
 from typing import TYPE_CHECKING
 
-from .dyck import DyckPath, all_paths, catalan_number, cell_count_rows, path_leq, reflected_cell
+from .dyck import DyckPath, all_paths, ballot, cell_count_rows, path_leq, reflected_cell
 from .frozen import Frozen
 
 if TYPE_CHECKING:
@@ -359,15 +358,15 @@ def quasi_abelian_count(n: int) -> int:
     q <= p (see :func:`is_quasi_abelian` for why that test suffices),
     summed over the cells of p in O(n^2) big-integer steps.
 
-    The pyramid pairs with all C_n paths.  Any other p lies in a cell
-    (c, d) with 1 <= c, d <= n - 1, and its partners q start with n - d
-    rises and end with n - c falls; such a q fits below p's fall at
-    c + 1 only when c + d >= n.  There the pairs are the nonintersecting
-    pairs (q, p + 2), counted by :func:`_cell_below_pairs`.
+    The pyramid pairs with all C_n = ballot(2n, 0, 0) paths.  Any other
+    p lies in a cell (c, d) with 1 <= c, d <= n - 1, and its partners q
+    start with n - d rises and end with n - c falls; such a q fits below
+    p's fall at c + 1 only when c + d >= n.  There the pairs are the
+    nonintersecting pairs (q, p + 2), counted by :func:`_cell_below_pairs`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return catalan_number(n) + sum(
+    return ballot(2 * n, 0, 0) + sum(
         _cell_below_pairs(n, c, d) for c in range(1, n) for d in range(n - c, n)
     )
 
@@ -375,10 +374,13 @@ def quasi_abelian_count(n: int) -> int:
 def _cell_below_pairs(n: int, c: int, d: int) -> int:
     """Pairs q <= p with p in the cell (c, d), c + d >= n, and q a partner
     of p: the Lindstrom-Gessel-Viennot determinant of ballot numbers for
-    the paths q from (n - d, n - d) to (n + c, n - c) and p + 2 from
-    (c + 1, c + 1) to (2n - d - 1, d + 1) (README, "Proofs")."""
+    the middles of q from A1 = (n - d, n - d) to B1 = (n + c, n - c) and
+    of p + 2 from A2 = (c + 1, c + 1) to B2 = (2n - d - 1, d + 1) (README,
+    "Proofs")."""
     s, m = c + d, 2 * n - 2 - c - d
-    return (comb(s, d) - comb(s, n + 1)) * comb(m, n - 1 - c) - comb(n - 1, c) * comb(n - 1, d)
+    a1b1, a2b2 = ballot(s, n - d, n - c), ballot(m, c + 1, d + 1)
+    a1b2, a2b1 = ballot(n - 1, n - d, d + 1), ballot(n - 1, c + 1, n - c)
+    return a1b1 * a2b2 - a1b2 * a2b1
 
 
 def nd_plus(b: BasicIdeal) -> int:

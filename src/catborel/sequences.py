@@ -73,6 +73,8 @@ def qnd_row(n: int):
     sums of C(2n, .): a row entry costs O(n / k) big-integer additions,
     the row O(n log n).  The oracle is the pair scan
     :func:`catborel.ideals.qnd_histogram`."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     # binom[j] = C(2n, j) for j = 0..n, each from the one before
     binom = [1]
     for j in range(n):

@@ -257,17 +257,6 @@ def test_enumerate_basic_refuses_a_non_partner(fmt, monkeypatch, capsys):
     assert "catborel: error: pair (rfrfrf, rfrfrf) is not admissible" in captured.err
 
 
-@pytest.mark.parametrize("fmt", ["table", "json"])
-def test_enumerate_basic_out_matches_stdout(fmt, tmp_path, capsys):
-    target = tmp_path / f"basic.{fmt}"
-    args = ["enumerate-basic", "--n", "5", "--format", fmt]
-    assert cli.main(args) == 0
-    stdout = capsys.readouterr().out
-    assert cli.main([*args, "--out", str(target)]) == 0
-    assert capsys.readouterr().out == ""
-    assert target.read_bytes() == stdout.encode()
-
-
 def test_split_search_and_order_check():
     code, out, _ = run_cli("split-search", "--type", "F4")
     assert code == 0 and "0 violating splits" in out

@@ -11,6 +11,7 @@ from catborel.dyck import (
     catalan_number,
     catalan_triangle,
     cell_count,
+    cell_count_rows,
     cell_min,
     cell_paths,
     floor_gap_points,
@@ -304,6 +305,12 @@ def test_cell_count_formula():
     for cell in ((3, 0, 1), (3, 1, 0), (3, 3, 4), (3, 4, 4), (0, 0, 0)):
         with pytest.raises(ValueError):
             cell_count(*cell)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cell_count_rows_refuses_n_below_one(n):
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        cell_count_rows(n)
 
 
 def test_first_row_matches_triangle():

@@ -1,13 +1,14 @@
 """The identities of README's "Proofs" section, one test each.
 
-Notation as there: C(a, b) is 0 unless 0 <= b <= a, cell (c, d) holds the
+Notation as there: C(a, b) is 0 unless 0 <= b <= a, ``ballot`` is the
+reflection-principle count of ``catborel.dyck``, cell (c, d) holds the
 paths of semilength n with first peak c and last peak d, s = c + d and
 m = 2n - 2 - s.  The double sums run over 1 <= c, d <= n - 1.
 """
 
 from math import comb
 
-from catborel.dyck import catalan_number, cell_count, cell_paths, path_leq
+from catborel.dyck import all_paths, ballot, catalan_number, cell_count, cell_paths, path_leq
 from catborel.ideals import _cell_below_pairs, b_count_formula, partners
 from catborel.sequences import b_sequence, quasi_abelian_sequence
 
@@ -27,9 +28,8 @@ def cells(n):
 
 def partner_count(n, c, d):
     """S(c, d) = F(n - d, n - c): the paths that start r^(n-d) and end
-    f^(n-c), by the reflection principle."""
-    s = c + d
-    return C(s, c) - C(s, n + 1)
+    f^(n-c), whose middles run from height n - d to n - c in s steps."""
+    return ballot(c + d, n - d, n - c)
 
 
 def t1_closed(n):
@@ -49,6 +49,17 @@ def test_partner_count_is_the_ballot_number():
         for c, d, _, _ in cells(n):
             for p in cell_paths(n, c, d):
                 assert len(partners(p)) == partner_count(n, c, d), (n, c, d)
+
+
+def test_threshold_count_is_the_ballot_number():
+    # F(a, b): a path starts r^a and ends f^b exactly when its first peak
+    # reaches a and its last peak b; (0, 0) is the pyramid's threshold, C_n
+    for n in range(1, 9):
+        paths = all_paths(n)
+        for a in range(n + 1):
+            for b in range(n + 1):
+                listed = sum(p.first_peak >= a and p.last_peak >= b for p in paths)
+                assert listed == ballot(2 * n - a - b, a, b), (n, a, b)
 
 
 def test_partner_sum_is_b_n():

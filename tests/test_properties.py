@@ -5,7 +5,10 @@ Paths are drawn step by step, so only the classification test, which
 varies one slot over every path of semilength at most 7, calls
 ``all_paths``.  Where a test generates a whole cell, examples whose cell
 holds more than 2000 paths are skipped, which keeps each example cheap.
-``min_partner`` builds no cell, so its test takes every example.
+``min_partner`` builds no cell, so its test takes every example.  The
+ballot kernel is checked exhaustively on a box of lengths and heights,
+off-lattice corners included, against a step-by-step count and against
+the factorial form of the Catalan triangle.
 """
 
 from fractions import Fraction
@@ -19,6 +22,8 @@ from hypothesis import assume, given, settings, strategies as st
 from catborel.dyck import (
     DyckPath,
     all_paths,
+    ballot,
+    catalan_triangle,
     cell_count,
     cell_paths,
     min_partner,
@@ -178,6 +183,30 @@ def test_generated_cell_has_its_peaks_and_size(cell):
     assert all((p.first_peak, p.last_peak) == (i, j) for p in members)
     words = [p.word for p in members]
     assert all(a < b for a, b in zip(words, words[1:]))
+
+
+def test_ballot_matches_a_step_by_step_count():
+    # counts[h]: the paths of `steps` steps from `start` to h that stay at or
+    # above 0, for h up to 64, which no start <= 24 passes in 40 steps
+    top = 64
+    for start in range(-2, 25):
+        counts = [int(h == start) for h in range(top + 1)]  # no path from below 0
+        for steps in range(41):
+            for end in range(-2, 25):
+                expected = counts[end] if end >= 0 else 0
+                assert ballot(steps, start, end) == expected, (steps, start, end)
+                assert ballot(-1 - steps, start, end) == 0, (-1 - steps, start, end)
+            counts = [
+                (counts[h - 1] if h else 0) + (counts[h + 1] if h < top else 0)
+                for h in range(top + 1)
+            ]
+
+
+def test_catalan_triangle_is_a_ballot_number():
+    # row i, column j: the paths of i rises and j falls that never go below 0
+    for i in range(40):
+        for j in range(i + 1):
+            assert catalan_triangle(i, j) == ballot(i + j, 0, i - j), (i, j)
 
 
 @settings(max_examples=60, deadline=None)

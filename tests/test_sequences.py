@@ -11,6 +11,8 @@ a k + b (k + 1) = m, which ``split_count`` gives in O(1).
 from collections import Counter
 from math import comb
 
+import pytest
+
 from catborel.dyck import all_paths, catalan_number
 from catborel.ideals import _table, partners, qnd_histogram
 from catborel.sequences import b_sequence, qnd_row, quasi_abelian_sequence
@@ -58,6 +60,12 @@ def test_qnd_row_pinned_values():
     row = dict(qnd_row(10))
     assert row[6] == 4845
     assert row[9] == 20
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_qnd_row_refuses_n_below_one(n):
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        list(qnd_row(n))
 
 
 def test_qnd_row_upper_half_is_one_binomial():
