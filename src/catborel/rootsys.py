@@ -124,7 +124,8 @@ def build_root_system(label: str) -> FiniteRootSystem:
     positive roots other than alpha_i (Humphreys, Introduction to Lie
     Algebras and Representation Theory, 10.2 Lemma B), so the closure
     never forms a negative root."""
-    m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", label.strip())
+    # ASCII only: \d and \s would accept other scripts' digits and spaces
+    m = label.isascii() and re.fullmatch(r"([A-Ga-g])\s*(\d+)", label.strip())
     if not m:
         raise ValueError(f"cannot parse type label {label!r}")
     family, rank = m.group(1).upper(), int(m.group(2))
@@ -353,16 +354,20 @@ def window(system: FiniteRootSystem) -> WindowPoset:
 
 
 def _check_partial_order(rows: list[int], name: str) -> None:
-    """Reflexivity, antisymmetry and transitivity of a relation in bit rows."""
-    for i, (row, col) in enumerate(zip(rows, _columns(rows))):
+    """Reflexivity, transitivity and antisymmetry of a relation in bit
+    rows.  For a reflexive, transitive relation, antisymmetry is the rows
+    being distinct: if i != j lie in each other's rows, transitivity
+    makes the two rows equal, and two equal rows of distinct elements
+    put each in the other's row."""
+    for i, row in enumerate(rows):
         if not row >> i & 1:
             raise AssertionError(f"{name} order is not reflexive")
-        if row & col != 1 << i:
-            raise AssertionError(f"{name} order is not antisymmetric")
     for row in rows:
         for j in _bits(row):
             if rows[j] & ~row:
                 raise AssertionError(f"{name} order is not transitive")
+    if len(set(rows)) != len(rows):
+        raise AssertionError(f"{name} order is not antisymmetric")
 
 
 def orders_coincide(poset: WindowPoset) -> bool:
@@ -377,6 +382,12 @@ def highest_root_split_search(system: FiniteRootSystem) -> list[tuple[Vector, Ve
     simple roots, xi + zeta is not a positive root, and neither xi nor
     zeta plus any simple root supporting eta is a positive root.  The
     expected result for every finite type is the empty list.
+
+    The conditions on zeta are bit masks over the roots: per coordinate
+    i, ``equal[i][v]`` holds the roots whose i-th coordinate is v, so
+    ``equal[i][h_i - xi_i]`` is the zeta that leave eta_i = 0, and when
+    alpha_i raises xi or zeta, zeta must lie in that mask.  eta = 0 makes
+    xi + zeta the highest root, which the root-sum test already skips.
     """
     roots = system.positive_roots
     highest = system.highest_root
@@ -385,18 +396,24 @@ def highest_root_split_search(system: FiniteRootSystem) -> list[tuple[Vector, Ve
     keys = [_key(v, base) for v in roots]
     pos = set(keys)
     units = [base**i for i in range(system.rank)]
-    # bit i set when v + alpha_i is a positive root
-    raisable = [sum(1 << i for i, u in enumerate(units) if k + u in pos) for k in keys]
+    equal: list[dict[int, int]] = [{} for _ in units]
+    # bit j of not_raised[i] set when roots[j] + alpha_i is no positive root
+    not_raised = [(1 << len(roots)) - 1] * len(units)
+    for j, (v, k) in enumerate(zip(roots, keys)):
+        for i, u in enumerate(units):
+            equal[i][v[i]] = equal[i].get(v[i], 0) | 1 << j
+            if k + u in pos:
+                not_raised[i] &= ~(1 << j)
     # zeta with xi + zeta <= highest, so that eta is non-negative
     fits = _dominated(roots, [tuple(h - c for h, c in zip(highest, xi)) for xi in roots])
     hits: list[tuple[Vector, Vector, Vector]] = []
     for x, xi in enumerate(roots):
-        for z in _bits(fits[x]):
-            if keys[x] + keys[z] in pos:
-                continue
-            zeta = roots[z]
-            eta = tuple(h - a - b for h, a, b in zip(highest, xi, zeta))
-            support = sum(1 << i for i, c in enumerate(eta) if c > 0)
-            if support and not support & (raisable[x] | raisable[z]):
-                hits.append((xi, zeta, eta))
+        candidates = fits[x]
+        for i, u in enumerate(units):
+            zero = equal[i].get(highest[i] - xi[i], 0)
+            candidates &= zero if keys[x] + u in pos else not_raised[i] | zero
+        for z in _bits(candidates):
+            if keys[x] + keys[z] not in pos:
+                zeta = roots[z]
+                hits.append((xi, zeta, tuple(h - a - b for h, a, b in zip(highest, xi, zeta))))
     return hits

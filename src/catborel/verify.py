@@ -179,14 +179,14 @@ def suite_dyck(max_n: int) -> list[Check]:
 def suite_rootsys(max_n: int) -> list[Check]:
     bound = min(max_n, 6)
     labels = [f"A{k}" for k in range(1, bound)] + list(ORDER_CHECK_TYPES)
+    # both window checks read one window per label, A1..A(bound-1) shared
+    windows = {label: rootsys.window(rootsys.build_root_system(label)) for label in labels}
     return _run("rootsys", [
         ("orders_coincide", ", ".join(labels), (
-            rootsys.orders_coincide(rootsys.window(rootsys.build_root_system(label)))
-            for label in labels
+            rootsys.orders_coincide(windows[label]) for label in labels
         )),
         ("antichain_bridge", f"type A, n<={bound}", (
-            len(rootsys.window(rootsys.build_root_system(f"A{n - 1}")).antichains())
-            == ideals.b_count_formula(n)
+            len(windows[f"A{n - 1}"].antichains()) == ideals.b_count_formula(n)
             for n in range(2, bound + 1)
         )),
         ("split_search_empty", ", ".join(SPLIT_SEARCH_TYPES), (

@@ -278,6 +278,17 @@ def test_order_check_prints_the_canonical_label(capsys):
     assert capsys.readouterr().out.startswith("G2: ")
 
 
+@pytest.mark.parametrize("command", ["split-search", "order-check"])
+@pytest.mark.parametrize("label", ["A\u0663", "A\u20033", "\u3000G2", "E\uff18"])
+def test_type_labels_outside_ascii_are_refused(command, label, capsys):
+    # \d and \s would read an Arabic-Indic 3, an em space, an ideographic
+    # space or a fullwidth 8 as the ASCII ones
+    assert cli.main([command, "--type", label]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse type label" in captured.err
+
+
 def test_usage_errors_exit_one():
     code, _, err = run_cli("bogus")
     assert code == 1

@@ -8,7 +8,9 @@ holds more than 2000 paths are skipped, which keeps each example cheap.
 ``min_partner`` builds no cell, so its test takes every example.  The
 ballot kernel is checked exhaustively on a box of lengths and heights,
 off-lattice corners included, against a step-by-step count and against
-the factorial form of the Catalan triangle.
+the factorial form of the Catalan triangle.  The window's partial-order
+check is compared with the pairwise definition on relations of at most
+7 elements.
 """
 
 from fractions import Fraction
@@ -55,9 +57,11 @@ from catborel.ideals import (
     qnd_direct,
     qnd_from_plus_degree,
 )
+from catborel.rootsys import _check_partial_order
 from catborel.supports import classify, enumerate_classes
 from test_dyck import reflect
 from test_ideals import fresh_nd_plus, fresh_powers
+from test_rootsys import brute_is_partial_order, rows_of
 from test_sequences import split_count
 
 
@@ -393,3 +397,34 @@ def test_omega_matches_its_entrywise_definition(rows):
 def test_split_count_matches_the_pairs(k, m):
     # pi_k(m) of Conjectures Q and N: the pairs a, b >= 0 with a k + b (k + 1) = m
     assert split_count(k, m) == sum((m - a * k) % (k + 1) == 0 for a in range(m // k + 1))
+
+
+@st.composite
+def relations(draw):
+    """A table of bools on at most 7 elements, as drawn, with its diagonal
+    set, or closed reflexively and transitively: a closure is a partial
+    order exactly when it is antisymmetric."""
+    n = draw(st.integers(1, 7))
+    table = [draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(["drawn", "reflexive", "closed"]))
+    if shape != "drawn":
+        for i in range(n):
+            table[i][i] = True
+    if shape == "closed":
+        for m in range(n):
+            for i in range(n):
+                if table[i][m]:
+                    table[i] = [a or b for a, b in zip(table[i], table[m])]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_check_partial_order_matches_the_pairwise_definition(table):
+    try:
+        _check_partial_order(list(rows_of(table)), "relation")
+    except AssertionError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == brute_is_partial_order(table)

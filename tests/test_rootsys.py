@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from catborel.ideals import b_count_formula
@@ -217,7 +219,10 @@ def test_cover_relations_shape():
 
 @pytest.mark.parametrize(
     "label",
-    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4", "E6", "E7", "E8"],
+    [
+        "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4", "E6", "E7", "E8",
+        "A40", "B30", "C30", "D30",
+    ],
 )
 def test_split_search_is_empty(label):
     assert highest_root_split_search(build_root_system(label)) == []
@@ -395,6 +400,13 @@ def test_check_partial_order_accepts_a_chain():
         (lambda rows: rows.__setitem__(1, 0b100), "reflexive"),  # diagonal bit of 1 missing
         (lambda rows: rows.__setitem__(1, 0b111), "antisymmetric"),  # 0 <= 1 <= 0
         (lambda rows: rows.__setitem__(0, 0b011), "transitive"),  # 0 <= 1 <= 2, not 0 <= 2
+        # both of the last two: transitivity is checked first, since distinct
+        # rows decide antisymmetry only for a transitive relation
+        pytest.param(
+            lambda rows: rows.__setitem__(slice(0, 2), [0b011, 0b111]),
+            "transitive",
+            id="neither-transitive-nor-antisymmetric",
+        ),
     ],
 )
 def test_check_partial_order_negative_controls(edit, problem):
@@ -436,17 +448,25 @@ def test_split_search_matches_brute_reference(label):
     system = build_root_system(label)
     assert highest_root_split_search(system) == brute_split_search(system)
     # with roots removed (simple and highest roots kept) splits do exist,
-    # so the two searches are also compared on nonempty results
+    # so the two searches are also compared on nonempty results: the bare
+    # basis, every third root removed, and 20 seeded random shares removed
     roots = system.positive_roots
     keep = set(simple_roots(system)) | {system.highest_root}
-    found = []
-    for kept in (
+    thinnings = [
         [v for v in roots if v in keep],
         [v for k, v in enumerate(roots) if v in keep or k % 3],
-    ):
+    ]
+    rng = random.Random(f"split {label}")
+    for _ in range(20):
+        share = rng.random()
+        thinnings.append([v for v in roots if v in keep or rng.random() < share])
+    found = []
+    for kept in thinnings:
         thinned = FiniteRootSystem(system.label, tuple(kept), system.highest_root)
         hits = highest_root_split_search(thinned)
         assert hits == brute_split_search(thinned)
         found.append(len(hits))
     if system.rank >= 3:
         assert found[0] > 0
+    # A1 and A2 have no root to remove
+    assert sum(found[2:]) > 0 or keep == set(roots)
