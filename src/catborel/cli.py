@@ -158,12 +158,24 @@ def cmd_qnd_histogram(args) -> tuple[str, bool]:
     return _bfile(pairs), True
 
 
+def _class_json(t, tag: str) -> str:
+    """One quadruple's record as ``_json_dump`` renders it as a list
+    element, keys sorted; ``tag`` is its JSON-quoted shape or null."""
+    p, q, pp, qp = t
+    return (
+        f'  {{\n    "case": {tag},\n    "level": 1,\n    "n": {p.semilength},\n    "p": "{p.word}",\n'
+        f'    "p_prime": "{pp.word}",\n    "q": "{q.word}",\n    "q_prime": "{qp.word}"\n  }}'
+    )
+
+
 def cmd_support_classes(args) -> tuple[str, bool]:
     from . import supports
 
     classes = supports.enumerate_classes(args.n)
     if args.format == "json":
-        return _json_dump([supports.class_record(t, case) for t, case in classes]), True
+        tags = {case: f'"{case}"' for case in supports.CASES}
+        body = ",\n".join(_class_json(t, tags.get(case, "null")) for t, case in classes)
+        return "[\n" + body + "\n]\n", True
     if args.format == "csv":
         counts = Counter(case for _, case in classes)
         body = "".join(f"{args.n},1,{case},{counts[case]}\n" for case in sorted(counts))

@@ -104,6 +104,11 @@ def enumerate_classes(n: int) -> list[tuple[Quadruple, str]]:
     bottom = staircase(n)
     prime_data = [(pp, floor_valleys(pp)) for pp in paths]
 
+    @lru_cache(maxsize=None)
+    def primes_over(needed: frozenset[int]) -> list[DyckPath]:
+        # built once per needed set, of which there are at most 2^(n-1)
+        return [pp for pp, v0p in prime_data if needed <= v0p]
+
     def classes_for(p: DyckPath) -> list[tuple[Quadruple, str]]:
         out = []
         if p == top:
@@ -116,21 +121,16 @@ def enumerate_classes(n: int) -> list[tuple[Quadruple, str]]:
                             for qp in partners(pp):
                                 out.append(((p, q, pp, qp), "II"))
                 else:
-                    gaps = floor_gap_points(q)
                     v0_q = floor_valleys(q)
                     force_top = 2 not in v0_q or 2 * n - 2 not in v0_q
-                    for pp, v0p in prime_data:
-                        if not gaps <= v0p:
-                            continue
+                    for pp in primes_over(floor_gap_points(q)):
                         # top is the dominance maximum, so it is always a partner
                         for qp in (top,) if force_top else partners(pp):
                             out.append(((p, q, pp, qp), "III"))
         else:
             for q in partners(p):
-                needed = floor_gap_points(q) | {2, 2 * n - 2}
-                for pp, v0p in prime_data:
-                    if needed <= v0p:
-                        out.append(((p, q, pp, top), "IV"))
+                for pp in primes_over(floor_gap_points(q) | {2, 2 * n - 2}):
+                    out.append(((p, q, pp, top), "IV"))
         return out
 
     return [item for p in paths for item in classes_for(p)]
@@ -233,16 +233,3 @@ def assemble_naive_span(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prime: Dy
     units = layer_units(plus_intervals(p), minus_intervals(q), 0)
     units |= layer_units(plus_intervals(p_prime), minus_intervals(q_prime), 1)
     return Span(_witness_algebra(n), units, {1: cartan_basis(n), 2: cartan_basis(n)})
-
-
-def class_record(t: Quadruple, case: str) -> dict:
-    p, q, pp, qp = (path.word for path in t)
-    return {
-        "n": len(p) // 2,
-        "level": 1,
-        "p": p,
-        "q": q,
-        "p_prime": pp,
-        "q_prime": qp,
-        "case": case if case in CASES else None,
-    }

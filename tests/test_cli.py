@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catborel import cli, dyck, ideals, matrices, rootsys, sequences, verify
+from catborel import cli, dyck, ideals, matrices, rootsys, sequences, supports, verify
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 QND_200_SHA256 = "4885874f5835aa027f7ca82732dced19f9a8395ca70d4f28900cba9cad2fd8f4"
@@ -221,6 +221,27 @@ def test_enumerate_basic_renders_like_stdlib(n, capsys):
     _assert_same_lines(capsys.readouterr().out, cli._json_dump(records))
     assert cli.main(["enumerate-basic", "--n", str(n)]) == 0
     _assert_same_lines(capsys.readouterr().out, "".join(_old_table_line(r) + "\n" for r in records))
+
+
+def _class_record(t, case):
+    """The record a support class prints as: its four words, n, level 1
+    and its shape, null outside the four shapes."""
+    p, q, pp, qp = (path.word for path in t)
+    return {
+        "n": len(p) // 2, "level": 1, "p": p, "q": q, "p_prime": pp, "q_prime": qp,
+        "case": case if case in supports.CASES else None,
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_support_classes_renders_like_stdlib(n, capsys):
+    """The hand-written class template gives the stdlib encoder's text of
+    each class's record: its keys, level 1, n, the four words, and null
+    for the semilength-1 class."""
+    classes = supports.enumerate_classes(n)
+    records = [_class_record(t, case) for t, case in classes]
+    assert cli.main(["support-classes", "--n", str(n), "--format", "json"]) == 0
+    _assert_same_lines(capsys.readouterr().out, json.dumps(records, sort_keys=True, indent=2) + "\n")
 
 
 def test_enumerate_basic_empty_s_plus_record():
@@ -542,7 +563,8 @@ ALL_MODULES = {
 }
 
 # per command, the catborel modules it may load and whether it loads
-# dataclasses (no command does); none of these formats needs json
+# dataclasses (no command does); none of these formats needs json, and
+# the two JSON rows render by hand
 IMPORTS = {
     (): ({"cli"}, False),
     ("bn", "--upto", "3"): ({"cli", "sequences"}, False),
@@ -552,8 +574,12 @@ IMPORTS = {
     ("split-search", "--type", "A2"): ({"cli", "frozen", "rootsys"}, False),
     ("order-check", "--type", "A2"): ({"cli", "frozen", "rootsys"}, False),
     ("enumerate-basic", "--n", "3"): ({"cli", "dyck", "frozen", "ideals"}, False),
+    ("enumerate-basic", "--n", "3", "--format", "json"): ({"cli", "dyck", "frozen", "ideals"}, False),
     ("qnd-histogram", "--n", "3"): ({"cli", "sequences"}, False),
     ("support-classes", "--n", "2"): ({"cli", "dyck", "frozen", "ideals", "supports"}, False),
+    ("support-classes", "--n", "2", "--format", "json"): (
+        {"cli", "dyck", "frozen", "ideals", "supports"}, False,
+    ),
     ("verify", "--max-n", "2"): (ALL_MODULES, False),
 }
 

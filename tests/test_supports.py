@@ -1,15 +1,17 @@
+from collections import Counter
 from itertools import chain, product
+from math import comb
 
 import pytest
 
 from catborel import ideals
-from catborel.dyck import DyckPath, all_paths, pyramid, staircase
+from catborel.dyck import DyckPath, all_paths, catalan_number, pyramid, staircase
 from catborel.loopalgebra import one_degree_up, stable_under
 from catborel.supports import (
+    CASES,
     assemble_naive_span,
     build_witness,
     check_layer_restrictions,
-    class_record,
     classify,
     enumerate_classes,
     verify_witness,
@@ -72,15 +74,34 @@ def test_class_counts_pinned():
 def test_case_one_count_is_catalan():
     # quadruples of the first shape are counted by paths with a single
     # floor valley, of which there are Catalan(n-1)
-    from catborel.dyck import catalan_number
-
     for n in range(2, 6):
         ones = [t for t, case in enumerate_classes(n) if case == "I"]
         assert len(ones) == catalan_number(n - 1)
 
 
+# the counts of shapes III and IV for n = 2..9, as listed
+CASE_III_IV_COUNTS = {
+    2: (1, 2), 3: (4, 13), 4: (16, 69), 5: (63, 336), 6: (247, 1562),
+    7: (967, 7054), 8: (3785, 31232), 9: (14820, 136313),
+}
+# the totals for n = 1..9: the first terms of ROADMAP's conjectural
+# generating function G
+SERIES_G = CLASS_COUNTS + [2019, 8813, 38020, 162573]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_case_counts_pinned(n):
+    """Shapes I and II meet their closed forms C_(n-1) and
+    2·C(2n-3, n-3), III and IV their pins, and the totals the series G."""
+    counts = Counter(case for _, case in enumerate_classes(n))
+    two = 2 * comb(2 * n - 3, n - 3) if n >= 3 else 0
+    assert set(counts) <= set(CASES)
+    assert [counts[case] for case in CASES] == [catalan_number(n - 1), two, *CASE_III_IV_COUNTS[n]]
+    assert sum(counts.values()) == SERIES_G[n - 1]
+
+
 def test_enumeration_is_sorted_and_unique():
-    for n in (2, 3, 4):
+    for n in range(2, 8):
         listed = [words(t) for t, _ in enumerate_classes(n)]
         assert listed == sorted(listed)
         assert len(set(listed)) == len(listed)
@@ -229,13 +250,3 @@ def test_naive_span_shares_the_basic_ideal_encoding():
             naive = assemble_naive_span(b.p, b.q, staircase(n), pyramid(n)).units
             lower = {(d, i, j) for d, i, j in naive if d == 0 or (d == 1 and i > j)}
             assert lower == ideals.support_span(n, b.s_plus, b.s_minus).units
-
-
-def test_class_record_fields():
-    t, case = enumerate_classes(2)[0]
-    rec = class_record(t, case)
-    assert set(rec) == {"n", "level", "p", "q", "p_prime", "q_prime", "case"}
-    assert rec["level"] == 1 and rec["n"] == 2
-    assert (rec["p"], rec["q"], rec["p_prime"], rec["q_prime"]) == words(t)
-    rec1 = class_record(*enumerate_classes(1)[0])
-    assert rec1["case"] is None
