@@ -42,7 +42,12 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _json_dump(obj) -> str:
+def _json_dump(obj, element=None) -> str:
+    """``obj`` as JSON, keys sorted, indented by two.  Given ``element``,
+    ``obj`` is a non-empty list and ``element`` writes each item as that
+    text holds it, which spares the stdlib's pure-Python indent encoder."""
+    if element is not None:
+        return "[\n" + ",\n".join(map(element, obj)) + "\n]\n"
     import json
 
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -174,8 +179,7 @@ def cmd_support_classes(args) -> tuple[str, bool]:
     classes = supports.enumerate_classes(args.n)
     if args.format == "json":
         tags = {case: f'"{case}"' for case in supports.CASES}
-        body = ",\n".join(_class_json(t, tags.get(case, "null")) for t, case in classes)
-        return "[\n" + body + "\n]\n", True
+        return _json_dump(classes, lambda item: _class_json(item[0], tags.get(item[1], "null"))), True
     if args.format == "csv":
         counts = Counter(case for _, case in classes)
         body = "".join(f"{args.n},1,{case},{counts[case]}\n" for case in sorted(counts))
