@@ -64,14 +64,13 @@ def _sequence(values, fmt: str) -> str:
 
 
 def _matrix(key: str, rows: tuple[tuple[int, ...], ...], n: int, fmt: str) -> str:
-    """Square matrix rows as an aligned table, CSV rows, or JSON under ``key``."""
-    from .matrices import format_table
-
+    """Square matrix rows as a space-aligned table, CSV rows, or JSON under ``key``."""
     if fmt == "json":
         return _json_dump({"n": n, key: rows})
     if fmt == "csv":
         return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
-    return format_table(rows) + "\n"
+    width = max(len(str(v)) for row in rows for v in row)
+    return "".join(" ".join(str(v).rjust(width) for v in row) + "\n" for row in rows)
 
 
 def cmd_catalan_matrix(args) -> tuple[str, bool]:

@@ -6,13 +6,15 @@ whose prefixes never contain more falls than rises; equivalently a
 lattice path from (0,0) to (2n,0) with steps (1,1) and (1,-1) that stays
 weakly above the x-axis.  A peak is a point where a rise is followed by
 a fall, a valley a point where a fall is followed by a rise; the height
-of either is its y-coordinate.
+of either is its y-coordinate.  A path's profile is its depth row, the
+number of rises before each fall: q lies below p in the dominance order
+exactly when q's row is nowhere above p's.
 
 Paths are grouped into cells by the pair (first peak height, last peak
 height).  Each cell is generated directly from its fixed first and last
 peak and counted by :func:`ballot`, the package's one
 reflection-principle count, and every nonempty cell has a unique
-dominance-minimal member, the envelope of two tents and the staircase.
+dominance-minimal member, read off its least depth row.
 The ``reflected_cell`` of a path p is (n - last, n - first): a second
 path is compatible with p in the pairing used by :mod:`catborel.ideals`
 when its first and last peaks reach it, and the ``min_partner`` of p,
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from operator import le
 
 from .frozen import Frozen
@@ -77,20 +80,17 @@ class DyckPath(Frozen):
         return len(self.word) // 2
 
     @cached_property
-    def heights(self) -> tuple[int, ...]:
-        """Heights h(0..2n) of the path profile."""
-        out = [0]
-        for step in self.word:
-            out.append(out[-1] + (1 if step == RISE else -1))
-        return tuple(out)
+    def depth(self) -> tuple[int, ...]:
+        """The number of rises before each fall, the path's profile."""
+        return tuple(accumulate(map(len, self.word.split(FALL)[:-1])))
 
     @cached_property
     def valleys(self) -> tuple[tuple[int, int], ...]:
-        """(x, height) of every valley, left to right."""
-        w = self.word
-        return tuple(
-            (x, self.heights[x]) for x in range(1, len(w)) if w[x - 1] == FALL and w[x] == RISE
-        )
+        """(x, height) of every valley, left to right: fall k + 1 ends at
+        x = d[k] + k + 1, at height d[k] - k - 1, and a rise follows it
+        when d[k + 1] > d[k]."""
+        d = self.depth
+        return tuple((c + k + 1, c - k - 1) for k, (c, e) in enumerate(zip(d, d[1:])) if e > c)
 
     # the first peak ends the leading rises, the last starts the final falls
     @property
@@ -124,11 +124,18 @@ def staircase(n: int) -> DyckPath:
     return DyckPath((RISE + FALL) * n)
 
 
+def from_depth(row) -> DyckPath:
+    """The path whose k-th fall follows row[k - 1] rises in all, the
+    inverse of ``DyckPath.depth`` on a nondecreasing row; DyckPath refuses
+    the row unless row[k - 1] >= k and its last entry is its length."""
+    return DyckPath("".join(RISE * (d - c) + FALL for c, d in zip([0, *row], row)))
+
+
 def path_leq(p: DyckPath, q: DyckPath) -> bool:
-    """True when q never goes below p (pointwise height comparison)."""
+    """True when q never goes below p: q's depth row is nowhere below p's."""
     if p.semilength != q.semilength:
         raise ValueError("paths must have equal semilength")
-    return all(map(le, p.heights, q.heights))
+    return all(map(le, p.depth, q.depth))
 
 
 def _walk(head: str, height: int, steps: int, target: int, tail: str) -> tuple[DyckPath, ...]:
@@ -200,31 +207,22 @@ def catalan_number(n: int) -> int:
     return ballot(2 * n, 0, 0)
 
 
-def _path_from_heights(heights: tuple[int, ...]) -> DyckPath:
-    word = []
-    for a, b in zip(heights, heights[1:]):
-        word.append(RISE if b > a else FALL)
-    return DyckPath("".join(word))
-
-
 @lru_cache(maxsize=None)
 def cell_min(n: int, a: int, b: int) -> DyckPath:
     """The dominance-minimal member of the cell (a, b).
 
-    A first peak of height a keeps a member on or above the tent
-    a - |x - a|, a last peak of height b on or above b - |2n - b - x|,
-    and parity keeps it on or above x mod 2.  The maximum of the three
-    is a path with first peak a and last peak b whenever the cell is
-    nonempty, so it is the minimum, built in O(n).
+    A first peak of height a puts every entry of a member's depth row at
+    a or above, a last peak of height b puts its last b entries at n, and
+    entry k (from 0) is at least k + 1.  The least such row, max(a, k + 1)
+    for k < n - b and n after that, is itself a member's whenever the cell
+    is nonempty, so it is the minimum, built in O(n).
     """
     _check_cell(n, a, b)
     if n in (a, b) and a != b:
         raise ValueError(f"cell ({a},{b}) of semilength {n} is empty")
-    low = _path_from_heights(
-        tuple(max(a - abs(x - a), b - abs(2 * n - b - x), x % 2) for x in range(2 * n + 1))
-    )
+    low = from_depth([max(a, k + 1) for k in range(n - b)] + [n] * b)
     if low.first_peak != a or low.last_peak != b:
-        raise RuntimeError(f"tent envelope of cell ({a},{b}) at n={n} has the wrong peaks")
+        raise RuntimeError(f"least depth row of cell ({a},{b}) at n={n} has the wrong peaks")
     return low
 
 

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat
-from operator import le
+from itertools import repeat
+from operator import le, lt
 from typing import TYPE_CHECKING
 
-from .dyck import DyckPath, all_paths, ballot, cell_count_rows, path_leq, reflected_cell
+from .dyck import DyckPath, all_paths, ballot, cell_count_rows, from_depth, path_leq, reflected_cell
 from .frozen import Frozen
 
 if TYPE_CHECKING:
@@ -117,19 +117,16 @@ def _coords(n: int, iv: Interval) -> tuple[int, ...]:
 class _PathTable:
     """What the basic ideals on a Dyck path read of it, as p or as q, kept
     once per path by ``_table``: per pair an invariant then costs a few
-    integer comparisons.  Bit sets hold (i, j) at bit (i - 1) * n + j."""
+    integer comparisons of the two depth rows."""
 
-    __slots__ = ("path", "first_peak", "last_peak", "valleys", "depth", "minus_bits", "__dict__")
+    __slots__ = ("path", "first_peak", "last_peak", "valleys", "depth", "__dict__")
 
     def __init__(self, path: DyckPath) -> None:
-        n = path.semilength
         self.path = path
         self.first_peak = path.first_peak
         self.last_peak = path.last_peak
         self.valleys = path.word.count("fr")
-        # the number of rises before each fall, and s_minus as a bit set
-        self.depth = depth = tuple(accumulate(map(len, path.word.split("f")[:-1])))
-        self.minus_bits = sum(((1 << d) - (2 << k)) << (k * n) for k, d in enumerate(depth[:-1]))
+        self.depth = path.depth
 
     @cached_property
     def s_plus(self) -> tuple[Interval, ...]:
@@ -162,12 +159,6 @@ class _PathTable:
             out.append(row)
             row = tuple(map(after.__getitem__, row))
         return tuple(out)
-
-    @cached_property
-    def top_power_bits(self) -> int:
-        """The last nonempty power as a bit set; 0 when there is none."""
-        n, rows = self.path.semilength, self.thresholds
-        return sum(((1 << n) - (1 << t)) << (k * n) for k, t in enumerate(rows[-1] if rows else ()))
 
     @cached_property
     def tall_peaks(self) -> int:
@@ -241,13 +232,7 @@ def from_antichain(n: int, antichain) -> BasicIdeal:
                 plus[i - 1] = min(plus[i - 1], j)
             else:
                 minus[i - 1] = max(minus[i - 1], j + 1)
-    return BasicIdeal(_path(plus), _path(minus))
-
-
-def _path(depth: list[int]) -> DyckPath:
-    """The path whose i-th fall follows depth[i - 1] rises in all, the
-    inverse of ``_PathTable.depth``; DyckPath refuses any other row."""
-    return DyckPath("".join("r" * (d - c) + "f" for c, d in zip([0, *depth], depth)))
+    return BasicIdeal(from_depth(plus), from_depth(minus))
 
 
 def antichain_of(b: BasicIdeal) -> frozenset[WindowRoot]:
@@ -273,8 +258,8 @@ def _partner_index(n: int) -> dict[tuple[int, int], tuple[DyckPath, ...]]:
 
 
 def partners(p: DyckPath) -> tuple[DyckPath, ...]:
-    """Every q that makes (p, q) admissible, in word order: by the tent
-    argument of :func:`is_quasi_abelian`, the paths above min_partner(p)."""
+    """Every q that makes (p, q) admissible, in word order: by the row
+    bound of :func:`is_quasi_abelian`, the paths above min_partner(p)."""
     return _partner_index(p.semilength)[reflected_cell(p)]
 
 
@@ -342,13 +327,12 @@ def is_quasi_abelian(b: BasicIdeal) -> bool:
 
     Only ``q <= p`` needs testing, because admissibility already puts q
     above min_partner(p).  With a = n - (last peak of p) and
-    b = n - (first peak of p), the first peak of q reaches a, so q lies on
-    or above the tent ``a - |x - a|``; its last peak reaches b, so q lies
-    on or above the tent ``b - |2n - b - x|``; and every path lies on or
-    above ``x mod 2``.  The pointwise maximum of these three bounds is a
-    path with first peak a and last peak b, so it is the minimum of the
-    cell (a, b), which is min_partner(p).  (For the pyramid, a = b = 0
-    and the bound is ``x mod 2``, the staircase.)
+    b = n - (first peak of p), the first peak of q reaches a, so every
+    entry of q's depth row is a or above; its last peak reaches b, so its
+    last b entries are n; and entry k (from 0) is at least k + 1.  The
+    least row with these bounds has first peak a and last peak b, so it is
+    the minimum of the cell (a, b), which is min_partner(p).  (For the
+    pyramid, a = b = 0 and the bound is k + 1, the staircase.)
     """
     return path_leq(b.q, b.p)
 
@@ -433,10 +417,11 @@ def qnd_from_plus_degree(b: BasicIdeal) -> int:
 def _qnd(tp: _PathTable, tq: _PathTable) -> int:
     """:func:`qnd_from_plus_degree` from the tables of p and q.  Row i of
     the last power holds the right ends from its threshold on, row i of
-    s_minus those below depth[i - 1]: one AND of bit sets tests them.
-    With no power, m and its bit set are 0, and the degree is 1."""
-    m = len(tp.thresholds)
-    return m + 1 if tp.top_power_bits & tq.minus_bits else max(m, 1)
+    s_minus those below q's depth[i - 1]: they meet where the threshold
+    lies below q's depth.  With no power m is 0, and the degree is 1."""
+    rows = tp.thresholds
+    m = len(rows)
+    return m + 1 if rows and any(map(lt, rows[-1], tq.depth)) else max(m, 1)
 
 
 def qnd_histogram(n: int) -> Counter[int]:
@@ -528,7 +513,7 @@ def _records(p: DyckPath, qs: Iterable[DyckPath]) -> Iterator[dict]:
     """The records of the pairs (p, q), q in qs, with what p alone fixes read
     once; a q that is no partner of p is refused, as BasicIdeal refuses it."""
     tp, (first, last) = _table(p), reflected_cell(p)
-    n, word, s_plus, m, heights = p.semilength, p.word, tp.s_plus, len(tp.thresholds), p.heights
+    n, word, s_plus, m, depth = p.semilength, p.word, tp.s_plus, len(tp.thresholds), tp.depth
     for q in qs:
         tq = _table(q)
         if tq.first_peak < first or tq.last_peak < last:
@@ -540,7 +525,7 @@ def _records(p: DyckPath, qs: Iterable[DyckPath]) -> Iterator[dict]:
             "s_plus": s_plus,
             "s_minus": tq.s_minus,
             "generators": _generators(tp, tq, first, last),
-            "quasi_abelian": all(map(le, q.heights, heights)),  # path_leq(q, p)
+            "quasi_abelian": all(map(le, tq.depth, depth)),  # path_leq(q, p)
             "nd_plus": m,
             "qnd": _qnd(tp, tq),
         }

@@ -86,9 +86,3 @@ def entry_sum(a: Matrix) -> int:
 
 def is_symmetric(a: Matrix) -> bool:
     return a == tuple(zip(*a))
-
-
-def format_table(a: Matrix) -> str:
-    """Space-aligned rows, one matrix row per line."""
-    width = max(len(str(v)) for row in a for v in row)
-    return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in a)

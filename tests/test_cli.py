@@ -570,7 +570,7 @@ IMPORTS = {
     ("bn", "--upto", "3"): ({"cli", "sequences"}, False),
     ("quasi-abelian", "--upto", "3"): ({"cli", "sequences"}, False),
     ("cells", "--n", "4", "--i", "2", "--j", "2"): ({"cli", "dyck", "frozen"}, False),
-    ("catalan-matrix", "2"): ({"cli", "dyck", "frozen", "matrices"}, False),
+    ("catalan-matrix", "2"): ({"cli", "dyck", "frozen"}, False),
     ("split-search", "--type", "A2"): ({"cli", "frozen", "rootsys"}, False),
     ("order-check", "--type", "A2"): ({"cli", "frozen", "rootsys"}, False),
     ("enumerate-basic", "--n", "3"): ({"cli", "dyck", "frozen", "ideals"}, False),

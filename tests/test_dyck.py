@@ -24,6 +24,18 @@ from catborel.dyck import (
 from catborel.matrices import catalan_matrix
 
 
+def heights(p):
+    """Heights h(0..2n) of the profile of p, step by step from its word."""
+    return tuple(accumulate((1 if step == RISE else -1 for step in p.word), initial=0))
+
+
+def valley_scan(p):
+    """(x, height) of every valley of p, left to right: the points where a
+    fall is followed by a rise, found by scanning the word."""
+    h = heights(p)
+    return tuple((x, h[x]) for x in range(1, len(p.word)) if p.word[x - 1 : x + 1] == FALL + RISE)
+
+
 def reflect(p):
     """Reverse the word and swap rises with falls (mirror at x = n)."""
     swapped = {RISE: FALL, FALL: RISE}
@@ -33,7 +45,7 @@ def reflect(p):
 def peaks(p):
     """(x, height) of every peak of p, left to right: the points of its
     profile above both neighbours."""
-    h = p.heights
+    h = heights(p)
     return tuple((x, h[x]) for x in range(1, 2 * p.semilength) if h[x - 1] < h[x] > h[x + 1])
 
 
@@ -220,9 +232,26 @@ def test_cell_min_is_the_brute_pointwise_minimum():
                 if not members:
                     continue
                 nonempty += 1
-                profile = tuple(min(col) for col in zip(*(p.heights for p in members)))
-                assert cell_min(n, i, j).heights == profile, (n, i, j)
+                profile = tuple(min(col) for col in zip(*map(heights, members)))
+                assert heights(cell_min(n, i, j)) == profile, (n, i, j)
     assert nonempty == 396
+
+
+def test_cell_min_is_the_envelope_of_two_tents_and_the_staircase():
+    # a first peak a keeps a member on or above the tent a - |x - a|, a last
+    # peak b on or above b - |2n - b - x|, and parity on or above x mod 2
+    nonempty = 0
+    for n in range(1, 41):
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if n in (a, b) and a != b:
+                    continue
+                nonempty += 1
+                tents = tuple(
+                    max(a - abs(x - a), b - abs(2 * n - b - x), x % 2) for x in range(2 * n + 1)
+                )
+                assert heights(cell_min(n, a, b)) == tents, (n, a, b)
+    assert nonempty == 20580
 
 
 @pytest.mark.parametrize("cell", [(3, 0, 1), (3, 1, 0), (3, 3, 1), (3, 1, 3), (3, 4, 4), (3, -1, 2), (0, 0, 0)])
@@ -248,7 +277,7 @@ def test_cells_are_meet_closed():
                     continue
                 for _ in range(6):
                     a, b = rng.choice(members), rng.choice(members)
-                    meet = tuple(min(x, y) for x, y in zip(a.heights, b.heights))
+                    meet = tuple(min(x, y) for x, y in zip(heights(a), heights(b)))
                     word = "".join(
                         "r" if y > x else "f" for x, y in zip(meet, meet[1:])
                     )

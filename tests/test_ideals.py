@@ -37,7 +37,7 @@ from catborel.loopalgebra import stable_under
 from catborel.matrices import catalan_matrix, dot, omega
 from catborel.rootsys import WindowRoot
 from catborel.sequences import b_sequence, quasi_abelian_sequence
-from test_dyck import peaks_at_least
+from test_dyck import heights, peaks_at_least
 from test_rootsys import closure_leq
 
 B_SEQUENCE = [1, 4, 18, 82, 370, 1648, 7252, 31582, 136338, 584248]
@@ -355,8 +355,8 @@ def _qa_count_band_walk(n):
 
     total = 0
     for p in paths(n):
-        hi = p.heights
-        lo = floor_of(p).heights
+        hi = heights(p)
+        lo = heights(floor_of(p))
         ways = {0: 1}
         for x in range(1, 2 * n + 1):
             nxt = {}
@@ -455,6 +455,20 @@ def fresh_nd_plus(s_plus):
     """Nilpotency degree of the degree-zero part: its number of nonempty
     powers."""
     return len(fresh_powers(s_plus))
+
+
+def test_qnd_matches_the_set_definition():
+    # m + 1 exactly when the last nonempty power of s_plus meets s_minus,
+    # found by bracketing interval sets: no threshold row is read
+    for n in range(1, 9):
+        powers_of = {}
+        for b in basic_ideals(n):
+            if b.p not in powers_of:
+                powers_of[b.p] = fresh_powers(b.s_plus)
+            powers = powers_of[b.p]
+            m = len(powers)
+            expected = m + 1 if powers and powers[-1] & b.s_minus else max(m, 1)
+            assert qnd_from_plus_degree(b) == expected, (b.p, b.q)
 
 
 def test_qnd_histogram_matches_the_oracle_and_the_per_pair_degree():

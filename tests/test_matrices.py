@@ -3,12 +3,12 @@ import random
 import pytest
 
 from catborel import dyck
+from catborel.cli import _matrix
 from catborel.matrices import (
     catalan_matrix,
     direct_sum,
     dot,
     entry_sum,
-    format_table,
     is_symmetric,
     omega,
     tau,
@@ -186,7 +186,7 @@ def test_family_is_tuples_of_int_tuples():
 
 
 def test_format_table_alignment():
-    text = format_table(catalan_matrix(5))
-    lines = text.split("\n")
+    text = _matrix("entries", catalan_matrix(5), 5, "table")
+    lines = text.splitlines()
     assert len(lines) == 5
     assert lines[0].split() == ["5", "5", "3", "1", "0"]

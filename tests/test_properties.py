@@ -28,6 +28,7 @@ from catborel.dyck import (
     catalan_triangle,
     cell_count,
     cell_paths,
+    from_depth,
     min_partner,
     path_leq,
     pyramid,
@@ -59,7 +60,7 @@ from catborel.ideals import (
 )
 from catborel.rootsys import _check_partial_order
 from catborel.supports import classify, enumerate_classes
-from test_dyck import reflect
+from test_dyck import heights, reflect, valley_scan
 from test_ideals import fresh_nd_plus, fresh_powers
 from test_rootsys import brute_is_partial_order, rows_of
 from test_sequences import split_count
@@ -87,8 +88,8 @@ MAX_CELL = 2000
 
 
 def _pointwise_max(x: DyckPath, y: DyckPath) -> DyckPath:
-    heights = [max(a, b) for a, b in zip(x.heights, y.heights)]
-    return DyckPath("".join("r" if b > a else "f" for a, b in zip(heights, heights[1:])))
+    top = [max(a, b) for a, b in zip(heights(x), heights(y))]
+    return DyckPath("".join("r" if b > a else "f" for a, b in zip(top, top[1:])))
 
 
 def _raised(p: DyckPath, q: DyckPath) -> DyckPath:
@@ -124,6 +125,19 @@ def partnered_paths(draw, lo=9, hi=14):
         p = reflect(p)
     raised = [_raised(p, DyckPath(w)) for w in draw(st.lists(dyck_words(n), max_size=6))]
     return p, [min_partner(p), *raised, pyramid(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(9, 20).flatmap(lambda n: st.tuples(dyck_words(n), dyck_words(n))))
+def test_depth_rows_answer_what_the_height_profile_does(words):
+    # the pointwise maximum of p and q lies above both, so comparisons that
+    # hold come up as often as those that fail
+    p, q = map(DyckPath, words)
+    top = _pointwise_max(p, q)
+    for x, y in ((p, q), (q, p), (p, top), (top, q)):
+        assert path_leq(x, y) == all(a <= b for a, b in zip(heights(x), heights(y)))
+    assert from_depth(p.depth) == p
+    assert p.valleys == valley_scan(p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -97,7 +97,7 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 
 def test_dyck_path_statistics_stay_cached():
     p = DyckPath("rrfrff")
-    assert p.heights is p.heights
+    assert p.depth is p.depth
     assert p.valleys is p.valleys
     assert p.valleys == ((3, 1),)
 
