@@ -44,8 +44,9 @@ def positive_int(text: str) -> int:
 
 def _json_dump(obj, element=None) -> str:
     """``obj`` as JSON, keys sorted, indented by two.  Given ``element``,
-    ``obj`` is a non-empty list and ``element`` writes each item as that
-    text holds it, which spares the stdlib's pure-Python indent encoder."""
+    ``obj`` is a non-empty iterable, read once, and ``element`` writes each
+    item as that text holds it, which spares the stdlib's pure-Python
+    indent encoder."""
     if element is not None:
         return "[\n" + ",\n".join(map(element, obj)) + "\n]\n"
     import json
@@ -143,7 +144,7 @@ def cmd_enumerate_basic(args) -> tuple[str, bool]:
 
     records = ideals.basic_records(args.n)
     if args.format == "json":
-        return "[\n" + ",\n".join(map(_record_json, records)) + "\n]\n", True
+        return _json_dump(records, _record_json), True
     return "".join(map(_record_line, records)), True
 
 

@@ -10,6 +10,13 @@ of either is its y-coordinate.  A path's profile is its depth row, the
 number of rises before each fall: q lies below p in the dominance order
 exactly when q's row is nowhere above p's.
 
+Every statistic of a path is a cached property of its ``DyckPath``.
+Besides peaks and valleys these are two classical readings of the depth
+row d: the positive roots of sl_n, the intervals (i, j) of 1..n-1, split
+at d into the ad-nilpotent Borel ideal of the path (``roots_above``) and
+its complement (``roots_below``); and the iterates of d as a map
+r -> d[r] > r (``depth_iterates``) give that ideal's powers.
+
 Paths are grouped into cells by the pair (first peak height, last peak
 height).  Each cell is generated directly from its fixed first and last
 peak and counted by :func:`ballot`, the package's one
@@ -30,7 +37,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import le
+from operator import gt, le
 
 from .frozen import Frozen
 
@@ -39,7 +46,8 @@ FALL = "f"
 
 
 class DyckPath(Frozen):
-    """A Dyck path, equal to and hashed as its word alone."""
+    """A Dyck path, equal to and hashed as its word alone; each object
+    caches its own statistics."""
 
     # __dict__ holds the cached_property statistics
     __slots__ = ("word", "__dict__")
@@ -93,19 +101,66 @@ class DyckPath(Frozen):
         return tuple((c + k + 1, c - k - 1) for k, (c, e) in enumerate(zip(d, d[1:])) if e > c)
 
     # the first peak ends the leading rises, the last starts the final falls
-    @property
+    @cached_property
     def first_peak(self) -> int:
         return len(self.word) - len(self.word.lstrip(RISE))
 
-    @property
+    @cached_property
     def last_peak(self) -> int:
         return len(self.word) - len(self.word.rstrip(FALL))
 
+    @cached_property
+    def tall_peaks(self) -> int:
+        """The peaks of height at least two: fall k ends a peak when a rise
+        precedes it (k = 0, or d[k] > d[k - 1]), at height d[k] - k."""
+        d = self.depth
+        return sum(e > c and e - k >= 2 for k, (c, e) in enumerate(zip((0, *d), d)))
 
-@lru_cache(maxsize=None)
-def floor_valleys(p: DyckPath) -> frozenset[int]:
-    """x-coordinates of the valleys at height 0."""
-    return frozenset(x for x, h in p.valleys if h == 0)
+    @cached_property
+    def floor_valleys(self) -> frozenset[int]:
+        """x-coordinates of the valleys at height 0."""
+        return frozenset(x for x, h in self.valleys if h == 0)
+
+    @cached_property
+    def floor_gap_points(self) -> frozenset[int]:
+        """Even x-coordinates 2m, 0 < 2m < 2n, whose triple {2m-2, 2m, 2m+2}
+        is not fully covered by height-0 valleys and the two endpoints."""
+        pinned = self.floor_valleys | {0, len(self.word)}
+        return frozenset(x for x in range(2, len(self.word), 2) if not {x - 2, x, x + 2} <= pinned)
+
+    @cached_property
+    def roots_above(self) -> tuple[tuple[int, int], ...]:
+        """The ad-nilpotent ideal of the path: the intervals (i, j) of
+        1..n-1 with j >= d[i - 1], sorted."""
+        n, d = self.semilength, self.depth
+        return tuple((i, j) for i in range(1, n) for j in range(d[i - 1], n))
+
+    @cached_property
+    def roots_below(self) -> tuple[tuple[int, int], ...]:
+        """The other intervals, those with j < d[i - 1], sorted: the lower
+        set of the root poset under the path."""
+        n, d = self.semilength, self.depth
+        return tuple((i, j) for i in range(1, n) for j in range(i, d[i - 1]))
+
+    @cached_property
+    def depth_iterates(self) -> tuple[tuple[int, ...], ...]:
+        """The iterates of the depth map r -> d[r] (d[n] = n) at r = 0..n-2,
+        a row each while it starts below n, d less its last entry first.
+
+        Row k is, per start i, the least right end in power k + 1 of
+        ``roots_above`` (sums of k + 1 consecutive members), so that power
+        holds (i, j) exactly when j >= row[i - 1], and the rows count the
+        ideal's nilpotency degree.  The ideal is closed under superintervals
+        and d does not fall, so a greedy cut is exact: if a power ends least
+        at r from i, the next ends least at d[r], as the least member from
+        r + 1 does."""
+        n = self.semilength
+        row, after = self.depth[:-1], self.depth + (n,)
+        out = []
+        while row and row[0] < n:
+            out.append(row)
+            row = tuple(map(after.__getitem__, row))
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +181,11 @@ def staircase(n: int) -> DyckPath:
 
 def from_depth(row) -> DyckPath:
     """The path whose k-th fall follows row[k - 1] rises in all, the
-    inverse of ``DyckPath.depth`` on a nondecreasing row; DyckPath refuses
-    the row unless row[k - 1] >= k and its last entry is its length."""
+    inverse of ``DyckPath.depth``.  A row that falls is refused here, and
+    DyckPath refuses it unless row[k - 1] >= k and its last entry is its
+    length."""
+    if any(map(gt, [0, *row], row)):
+        raise ValueError(f"depth row {list(row)} falls")
     return DyckPath("".join(RISE * (d - c) + FALL for c, d in zip([0, *row], row)))
 
 
@@ -239,19 +297,6 @@ def min_partner(p: DyckPath) -> DyckPath:
     minimum is the staircase."""
     a, b = reflected_cell(p)
     return cell_min(p.semilength, a or 1, b or 1)
-
-
-@lru_cache(maxsize=None)
-def floor_gap_points(p: DyckPath) -> frozenset[int]:
-    """Even x-coordinates 2m, 0 < 2m < 2n, whose triple {2m-2, 2m, 2m+2}
-    is not fully covered by height-0 valleys and the two endpoints."""
-    n = p.semilength
-    pinned = floor_valleys(p) | {0, 2 * n}
-    return frozenset(
-        2 * m
-        for m in range(1, n)
-        if any(x not in pinned for x in (2 * m - 2, 2 * m, 2 * m + 2))
-    )
 
 
 def catalan_triangle(i: int, j: int) -> int:

@@ -8,14 +8,14 @@ a whose opposite appears at loop degree one, and the imaginary root is
 always present.  An ideal enters only as its admissible Dyck pair
 (p, q), which :class:`BasicIdeal` stores and :func:`phi` returns, or as
 a window antichain, which :func:`from_antichain` turns into that pair.
-The interval sets are read off the paths: p's i-th fall follows as many
-rises as the least right end in ``s_plus`` from i, q's one more than
-the greatest right end in ``s_minus`` from i.  The admissible pairs are
-those passing the peak-threshold test of :func:`is_admissible`, and
-equivalently those with ``q`` above the ``min_partner`` of ``p``; what
-the invariants need is kept in a table per path, ``s_plus`` side from
-``p`` alone, ``s_minus`` side from ``q``, and :func:`basic_records`
-lists every ideal's record from those tables without building one.
+The interval sets are p's ``roots_above`` and q's ``roots_below``: p's
+i-th fall follows as many rises as the least right end in ``s_plus``
+from i, q's one more than the greatest right end in ``s_minus`` from i.
+The admissible pairs are those passing the peak-threshold test of
+:func:`is_admissible`, and equivalently those with ``q`` above the
+``min_partner`` of ``p``.  Every invariant reads the statistics that
+each path caches, and :func:`basic_records` lists every ideal's record
+from them without building one.
 
 On top of the encoding sit the counting formulas (the cell sums that
 check the closed forms of :mod:`catborel.sequences`, proved in README's
@@ -31,7 +31,7 @@ counting ideals does not load it.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from operator import le, lt
 from typing import TYPE_CHECKING
@@ -90,11 +90,11 @@ class BasicIdeal(Frozen):
 
     @property
     def s_plus(self) -> frozenset[Interval]:
-        return plus_intervals(self.p)
+        return frozenset(self.p.roots_above)
 
     @property
     def s_minus(self) -> frozenset[Interval]:
-        return minus_intervals(self.q)
+        return frozenset(self.q.roots_below)
 
     def window_support(self) -> frozenset[WindowRoot]:
         """The support inside the window, imaginary root included."""
@@ -112,71 +112,6 @@ class BasicIdeal(Frozen):
 def _coords(n: int, iv: Interval) -> tuple[int, ...]:
     i, j = iv
     return tuple(1 if i <= k <= j else 0 for k in range(1, n))
-
-
-class _PathTable:
-    """What the basic ideals on a Dyck path read of it, as p or as q, kept
-    once per path by ``_table``: per pair an invariant then costs a few
-    integer comparisons of the two depth rows."""
-
-    __slots__ = ("path", "first_peak", "last_peak", "valleys", "depth", "__dict__")
-
-    def __init__(self, path: DyckPath) -> None:
-        self.path = path
-        self.first_peak = path.first_peak
-        self.last_peak = path.last_peak
-        self.valleys = path.word.count("fr")
-        self.depth = path.depth
-
-    @cached_property
-    def s_plus(self) -> tuple[Interval, ...]:
-        """Sorted: from each start i, the right ends from depth[i - 1] on."""
-        n, depth = self.path.semilength, self.depth
-        return tuple((i, j) for i in range(1, n) for j in range(depth[i - 1], n))
-
-    @cached_property
-    def s_minus(self) -> tuple[Interval, ...]:
-        """Sorted: from each start i, the right ends below depth[i - 1]."""
-        n, depth = self.path.semilength, self.depth
-        return tuple((i, j) for i in range(1, n) for j in range(i, depth[i - 1]))
-
-    @cached_property
-    def thresholds(self) -> tuple[tuple[int, ...], ...]:
-        """The nonempty powers of the degree-zero part, s_plus first: power
-        k holds (i, r) exactly when r >= thresholds[k][i - 1] (n: none).
-
-        Power k holds the sums of k + 1 consecutive members of s_plus.
-        s_plus is closed under superintervals, and its least right end
-        depth[s - 1] from start s does not fall as s grows, so a greedy
-        cut is exact: if power k - 1 from i ends least at r, power k from
-        i ends least where the least member from r + 1 ends, since any
-        other split ends its first k members at r or later."""
-        n = self.path.semilength
-        row = self.depth[: n - 1]
-        after = row + (n, n)  # after[r]: the least member from r + 1
-        out = []
-        while row and row[0] < n:
-            out.append(row)
-            row = tuple(map(after.__getitem__, row))
-        return tuple(out)
-
-    @cached_property
-    def tall_peaks(self) -> int:
-        """The peaks of height at least two: fall k ends a peak when a rise
-        precedes it (k = 0, or depth[k] > depth[k - 1]), at height depth[k] - k."""
-        depth = self.depth
-        return sum(d > c and d - k >= 2 for k, (c, d) in enumerate(zip((0, *depth), depth)))
-
-
-_table = lru_cache(maxsize=None)(_PathTable)
-
-
-def plus_intervals(p: DyckPath) -> frozenset[Interval]:
-    return frozenset(_table(p).s_plus)
-
-
-def minus_intervals(q: DyckPath) -> frozenset[Interval]:
-    return frozenset(_table(q).s_minus)
 
 
 def phi(b: BasicIdeal) -> tuple[DyckPath, DyckPath]:
@@ -302,18 +237,17 @@ def generators_formula(b: BasicIdeal) -> int:
     Each correction applies only when the coinciding peak has height at
     least two, i.e. only when that peak was actually counted.
     """
-    return _generators(_table(b.p), _table(b.q), *reflected_cell(b.p))
+    return _generators(b.p, b.q, *reflected_cell(b.p))
 
 
-def _generators(tp: _PathTable, tq: _PathTable, first: int, last: int) -> int:
-    """:func:`generators_formula` from the tables of p and q, and p's
-    reflected cell (first, last)."""
-    if not tp.s_plus and not tq.s_minus:
+def _generators(p: DyckPath, q: DyckPath, first: int, last: int) -> int:
+    """:func:`generators_formula` from p, q and p's reflected cell (first, last)."""
+    if not p.roots_above and not q.roots_below:
         return 1
-    count = tp.valleys + tq.tall_peaks
-    if last >= 2 and tq.last_peak == last:
+    count = len(p.valleys) + q.tall_peaks
+    if last >= 2 and q.last_peak == last:
         count -= 1
-    if first >= 2 and tq.first_peak == first:
+    if first >= 2 and q.first_peak == first:
         count -= 1
     return count
 
@@ -369,7 +303,7 @@ def _cell_below_pairs(n: int, c: int, d: int) -> int:
 
 def nd_plus(b: BasicIdeal) -> int:
     """Nilpotency degree of the degree-zero part at root level."""
-    return len(_table(b.p).thresholds)
+    return len(b.p.depth_iterates)
 
 
 def qnd_direct(b: BasicIdeal) -> int:
@@ -411,27 +345,27 @@ def qnd_from_plus_degree(b: BasicIdeal) -> int:
     it is 1 when m = 0, and otherwise m unless some member of s_minus
     also lies in the support of the (m-1)-st power of the degree-zero
     part, in which case it is m + 1."""
-    return _qnd(_table(b.p), _table(b.q))
+    return _qnd(b.p, b.q)
 
 
-def _qnd(tp: _PathTable, tq: _PathTable) -> int:
-    """:func:`qnd_from_plus_degree` from the tables of p and q.  Row i of
-    the last power holds the right ends from its threshold on, row i of
-    s_minus those below q's depth[i - 1]: they meet where the threshold
-    lies below q's depth.  With no power m is 0, and the degree is 1."""
-    rows = tp.thresholds
+def _qnd(p: DyckPath, q: DyckPath) -> int:
+    """:func:`qnd_from_plus_degree` from p and q.  Row i of the last power
+    holds the right ends from p's last depth iterate on, row i of s_minus
+    those below q's depth[i - 1]: they meet where the iterate lies below
+    q's depth.  With no power m is 0, and the degree is 1."""
+    rows = p.depth_iterates
     m = len(rows)
-    return m + 1 if rows and any(map(lt, rows[-1], tq.depth)) else max(m, 1)
+    return m + 1 if rows and any(map(lt, rows[-1], q.depth)) else max(m, 1)
 
 
 def qnd_histogram(n: int) -> Counter[int]:
     """How many basic ideals of semilength n have each quasi-nilpotency
-    degree, read per pair from the two path tables: no ideal is built.
+    degree, read per pair from the two paths: no ideal is built.
     The oracle of the closed-form row :func:`catborel.sequences.qnd_row`,
     run only by ``verify`` and the tests."""
     hist: Counter[int] = Counter()
     for p in all_paths(n):
-        hist.update(map(_qnd, repeat(_table(p)), map(_table, partners(p))))
+        hist.update(map(_qnd, repeat(p), partners(p)))
     return hist
 
 
@@ -493,8 +427,8 @@ def ideal_record(b: BasicIdeal) -> dict:
         "n": b.n,
         "p": b.p.word,
         "q": b.q.word,
-        "s_plus": _table(b.p).s_plus,
-        "s_minus": _table(b.q).s_minus,
+        "s_plus": b.p.roots_above,
+        "s_minus": b.q.roots_below,
         "generators": generators_formula(b),
         "quasi_abelian": is_quasi_abelian(b),
         "nd_plus": nd_plus(b),
@@ -504,7 +438,7 @@ def ideal_record(b: BasicIdeal) -> dict:
 
 def basic_records(n: int) -> Iterator[dict]:
     """:func:`ideal_record` over :func:`enumerate_basic`, in its order, read
-    per p and per pair from the two path tables: no ideal is built."""
+    per p and per pair from the two paths: no ideal is built."""
     for p in all_paths(n):
         yield from _records(p, partners(p))
 
@@ -512,20 +446,19 @@ def basic_records(n: int) -> Iterator[dict]:
 def _records(p: DyckPath, qs: Iterable[DyckPath]) -> Iterator[dict]:
     """The records of the pairs (p, q), q in qs, with what p alone fixes read
     once; a q that is no partner of p is refused, as BasicIdeal refuses it."""
-    tp, (first, last) = _table(p), reflected_cell(p)
-    n, word, s_plus, m, depth = p.semilength, p.word, tp.s_plus, len(tp.thresholds), tp.depth
+    first, last = reflected_cell(p)
+    n, word, s_plus, m, depth = p.semilength, p.word, p.roots_above, len(p.depth_iterates), p.depth
     for q in qs:
-        tq = _table(q)
-        if tq.first_peak < first or tq.last_peak < last:
+        if q.first_peak < first or q.last_peak < last:
             raise ValueError(f"pair ({p}, {q}) is not admissible")
         yield {
             "n": n,
             "p": word,
             "q": q.word,
             "s_plus": s_plus,
-            "s_minus": tq.s_minus,
-            "generators": _generators(tp, tq, first, last),
-            "quasi_abelian": all(map(le, tq.depth, depth)),  # path_leq(q, p)
+            "s_minus": q.roots_below,
+            "generators": _generators(p, q, first, last),
+            "quasi_abelian": all(map(le, q.depth, depth)),  # path_leq(q, p)
             "nd_plus": m,
-            "qnd": _qnd(tp, tq),
+            "qnd": _qnd(p, q),
         }

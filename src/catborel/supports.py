@@ -27,18 +27,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .dyck import (
-    DyckPath,
-    all_paths,
-    cell_min,
-    floor_gap_points,
-    floor_valleys,
-    min_partner,
-    path_leq,
-    pyramid,
-    staircase,
-)
-from .ideals import layer_units, minus_intervals, partners, plus_intervals
+from .dyck import DyckPath, all_paths, cell_min, min_partner, path_leq, pyramid, staircase
+from .ideals import layer_units, partners
 
 if TYPE_CHECKING:
     from .loopalgebra import Span, TruncatedLoopAlgebra
@@ -72,22 +62,22 @@ def classify(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prime: DyckPath) -> 
         if (
             q_prime.word == top.word
             and path_leq(min_partner(p), q)
-            and floor_gap_points(q) | {2, 2 * n - 2} <= floor_valleys(p_prime)
+            and q.floor_gap_points | {2, 2 * n - 2} <= p_prime.floor_valleys
         ):
             return "IV"
         return None
-    v0_prime = floor_valleys(p_prime)
+    v0_prime = p_prime.floor_valleys
     if q == staircase(n):
         if len(v0_prime) == 1 and q_prime == top:
             return "I"
         if len(v0_prime) > 1 and path_leq(min_partner(p_prime), q_prime):
             return "II"
         return None
-    if not floor_gap_points(q) <= v0_prime:
+    if not q.floor_gap_points <= v0_prime:
         return None
     if not path_leq(min_partner(p_prime), q_prime):
         return None
-    v0_q = floor_valleys(q)
+    v0_q = q.floor_valleys
     if (2 not in v0_q or 2 * n - 2 not in v0_q) and q_prime != top:
         return None
     return "III"
@@ -102,7 +92,7 @@ def enumerate_classes(n: int) -> list[tuple[Quadruple, str]]:
     paths = all_paths(n)
     top = pyramid(n)
     bottom = staircase(n)
-    prime_data = [(pp, floor_valleys(pp)) for pp in paths]
+    prime_data = [(pp, pp.floor_valleys) for pp in paths]
 
     @lru_cache(maxsize=None)
     def primes_over(needed: frozenset[int]) -> list[DyckPath]:
@@ -121,15 +111,15 @@ def enumerate_classes(n: int) -> list[tuple[Quadruple, str]]:
                             for qp in partners(pp):
                                 out.append(((p, q, pp, qp), "II"))
                 else:
-                    v0_q = floor_valleys(q)
+                    v0_q = q.floor_valleys
                     force_top = 2 not in v0_q or 2 * n - 2 not in v0_q
-                    for pp in primes_over(floor_gap_points(q)):
+                    for pp in primes_over(q.floor_gap_points):
                         # top is the dominance maximum, so it is always a partner
                         for qp in (top,) if force_top else partners(pp):
                             out.append(((p, q, pp, qp), "III"))
         else:
             for q in partners(p):
-                for pp in primes_over(floor_gap_points(q) | {2, 2 * n - 2}):
+                for pp in primes_over(q.floor_gap_points | {2, 2 * n - 2}):
                     out.append(((p, q, pp, top), "IV"))
         return out
 
@@ -155,7 +145,7 @@ def check_layer_restrictions(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prim
     if p_prime == top or q_prime == bottom:
         return False
     simples = {(k, k) for k in range(1, n)}
-    if simples <= minus_intervals(q) and p_prime != bottom:
+    if simples <= set(q.roots_below) and p_prime != bottom:
         return False
     # the negative layer holding everything except the longest root
     corner = cell_min(n, n - 1, n - 1)
@@ -199,19 +189,19 @@ def build_witness(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prime: DyckPath
     if case == "unique":
         # semilength 1: the support is the imaginary tail only
         return Span(alg, frozenset(), {1: [], 2: []})
-    a_plus, a_minus = plus_intervals(p), minus_intervals(q)
+    a_plus, a_minus = p.roots_above, q.roots_below
     units = layer_units(a_plus, a_minus, 0)
-    units |= layer_units(plus_intervals(p_prime), minus_intervals(q_prime), 1)
-    v0 = sorted(floor_valleys(p_prime))
+    units |= layer_units(p_prime.roots_above, q_prime.roots_below, 1)
+    v0 = sorted(p_prime.floor_valleys)
     if case == "I":
         diag1 = [dual_basis_vector(n, v0[0] // 2)]
     elif case == "II":
         vm, vk = dual_basis_vector(n, v0[0] // 2), dual_basis_vector(n, v0[1] // 2)
         diag1 = [tuple(a - b for a, b in zip(vm, vk))]
     else:
-        diag1 = [coroot_vector(n, iv) for iv in sorted(a_minus)]
+        diag1 = [coroot_vector(n, iv) for iv in a_minus]
         if case == "IV":
-            diag1 += [coroot_vector(n, iv) for iv in sorted(a_plus)]
+            diag1 += [coroot_vector(n, iv) for iv in a_plus]
     return Span(alg, units, {1: diag1, 2: cartan_basis(n)})
 
 
@@ -230,6 +220,6 @@ def assemble_naive_span(p: DyckPath, q: DyckPath, p_prime: DyckPath, q_prime: Dy
     from .loopalgebra import Span, cartan_basis
 
     n = _semilength(p, q, p_prime, q_prime)
-    units = layer_units(plus_intervals(p), minus_intervals(q), 0)
-    units |= layer_units(plus_intervals(p_prime), minus_intervals(q_prime), 1)
+    units = layer_units(p.roots_above, q.roots_below, 0)
+    units |= layer_units(p_prime.roots_above, q_prime.roots_below, 1)
     return Span(_witness_algebra(n), units, {1: cartan_basis(n), 2: cartan_basis(n)})

@@ -199,8 +199,8 @@ def _exclusivity_scan(n):
         x: (
             x == top,
             x == bottom,
-            dyck.floor_valleys(x),
-            dyck.floor_gap_points(x),
+            x.floor_valleys,
+            x.floor_gap_points,
             dyck.min_partner(x),
         )
         for x in paths

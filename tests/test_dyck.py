@@ -14,8 +14,7 @@ from catborel.dyck import (
     cell_count_rows,
     cell_min,
     cell_paths,
-    floor_gap_points,
-    floor_valleys,
+    from_depth,
     min_partner,
     path_leq,
     pyramid,
@@ -50,7 +49,7 @@ def peaks(p):
 
 
 def peaks_at_least(p, height):
-    """The oracle of the per-path count ``ideals._PathTable.tall_peaks``."""
+    """The oracle of the per-path count ``DyckPath.tall_peaks``."""
     return sum(1 for _, h in peaks(p) if h >= height)
 
 
@@ -70,6 +69,13 @@ def test_stats_worked_example():
     assert p.first_peak == 3
     assert p.last_peak == 2
     assert [h for _, h in p.valleys] == [1, 1]
+
+
+def test_from_depth_refuses_a_falling_row():
+    # no path has 2 rises before its second fall and 1 before its first
+    with pytest.raises(ValueError, match="falls"):
+        from_depth([2, 1, 2])
+    assert from_depth([2, 2, 3]) == DyckPath("rrffrf")
 
 
 def test_stats_staircase_valleys():
@@ -292,25 +298,25 @@ def test_min_partner_examples():
 
 
 def test_floor_gap_points():
-    assert floor_gap_points(pyramid(3)) == frozenset({2, 4})
+    assert pyramid(3).floor_gap_points == frozenset({2, 4})
     for n in range(1, 8):
-        assert floor_gap_points(staircase(n)) == frozenset()
+        assert staircase(n).floor_gap_points == frozenset()
         for p in all_paths(min(n, 6)):
-            assert floor_gap_points(p) <= set(range(2, 2 * p.semilength - 1, 2))
+            assert p.floor_gap_points <= set(range(2, 2 * p.semilength - 1, 2))
 
 
 def test_floor_gap_points_against_direct_set_computation():
     for n in range(1, 7):
         for p in all_paths(n):
             floor = {x for x, h in p.valleys if h == 0}
-            assert floor_valleys(p) == floor
+            assert p.floor_valleys == floor
             pinned = floor | {0, 2 * n}
             expect = set()
             for m in range(1, n):
                 triple = {2 * m - 2, 2 * m, 2 * m + 2}
                 if triple - pinned:
                     expect.add(2 * m)
-            assert floor_gap_points(p) == expect
+            assert p.floor_gap_points == expect
 
 
 def test_catalan_triangle_values():

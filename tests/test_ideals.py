@@ -8,7 +8,6 @@ from catborel.dyck import DyckPath, all_paths, min_partner, path_leq, pyramid, s
 from catborel.ideals import (
     BasicIdeal,
     _partner_index,
-    _table,
     antichain_of,
     b_count_formula,
     basic_ideals,
@@ -21,11 +20,9 @@ from catborel.ideals import (
     is_admissible,
     is_quasi_abelian,
     is_quasi_abelian_bracket,
-    minus_intervals,
     nd_plus,
     partners,
     phi,
-    plus_intervals,
     qnd_direct,
     qnd_from_plus_degree,
     qnd_histogram,
@@ -68,17 +65,17 @@ def delta_root(n):
 
 
 def test_grid_walk_matches_drawn_example():
-    assert plus_intervals(DyckPath("rrfrfrrffrff")) == frozenset(FIG_PLUS)
-    assert minus_intervals(DyckPath("rrffrrfrrfff")) == frozenset(FIG_MINUS)
+    assert set(DyckPath("rrfrfrrffrff").roots_above) == FIG_PLUS
+    assert set(DyckPath("rrffrrfrrfff").roots_below) == FIG_MINUS
 
 
 def test_encoding_anchors():
     for n in range(2, 7):
-        everything = frozenset(intervals(n))
-        assert plus_intervals(pyramid(n)) == frozenset()
-        assert plus_intervals(staircase(n)) == everything
-        assert minus_intervals(staircase(n)) == frozenset()
-        assert minus_intervals(pyramid(n)) == everything
+        everything = tuple(intervals(n))
+        assert pyramid(n).roots_above == ()
+        assert staircase(n).roots_above == everything
+        assert staircase(n).roots_below == ()
+        assert pyramid(n).roots_below == everything
 
 
 def test_minimum_and_full_ideal_pairs():
@@ -92,8 +89,8 @@ def test_encoding_is_monotone():
     for a in paths:
         for b in paths:
             leq = path_leq(a, b)
-            assert leq == (plus_intervals(b) <= plus_intervals(a)), (a, b)
-            assert leq == (minus_intervals(a) <= minus_intervals(b)), (a, b)
+            assert leq == (set(b.roots_above) <= set(a.roots_above)), (a, b)
+            assert leq == (set(a.roots_below) <= set(b.roots_below)), (a, b)
 
 
 def test_admissibility_examples():
@@ -511,7 +508,7 @@ def test_basic_records_refuse_a_partner_index_with_a_non_partner(monkeypatch):
 def test_tall_peaks_from_depth_match_the_profile():
     for n in range(1, 10):
         for p in all_paths(n):
-            assert _table(p).tall_peaks == peaks_at_least(p, 2), p
+            assert p.tall_peaks == peaks_at_least(p, 2), p
 
 
 def test_ideal_record_shape():

@@ -47,7 +47,6 @@ from catborel.matrices import omega, tau
 from catborel.ideals import (
     BasicIdeal,
     _records,
-    _table,
     antichain_of,
     from_antichain,
     generators_direct,
@@ -177,9 +176,9 @@ def test_records_per_p_match_ideal_record(case):
 @given(dyck_paths())
 def test_power_thresholds_match_fresh_brackets(p):
     n = p.semilength
-    thresholds = _table(p).thresholds
-    powers = [{(i, r) for i, t in enumerate(row, 1) for r in range(t, n)} for row in thresholds]
-    assert powers == fresh_powers(_table(p).s_plus)
+    rows = p.depth_iterates
+    powers = [{(i, r) for i, t in enumerate(row, 1) for r in range(t, n)} for row in rows]
+    assert powers == fresh_powers(p.roots_above)
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from catborel.dyck import all_paths, catalan_number
-from catborel.ideals import _table, partners, qnd_histogram
+from catborel.ideals import partners, qnd_histogram
 from catborel.sequences import b_sequence, qnd_row, quasi_abelian_sequence
 
 
@@ -80,7 +80,7 @@ def test_nd_plus_groups_follow_conjecture_n():
     for n, b_n in b_sequence(10):
         groups = Counter()
         for p in all_paths(n):
-            groups[len(_table(p).thresholds)] += len(partners(p))
+            groups[len(p.depth_iterates)] += len(partners(p))
         assert set(groups) <= set(range(n)), n
         assert groups[0] == catalan_number(n), n
         middle = {k: conjecture_n(n, k) for k in range(2, n)}

@@ -3,12 +3,14 @@ equal objects with equal hashes, objects of different classes never
 compare equal, fields cannot be assigned or deleted, and each class, like
 a support quadruple's witness, still validates its arguments."""
 
+from bisect import bisect_left
+
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from catborel.dyck import DyckPath, floor_valleys, pyramid, staircase
+from catborel.dyck import DyckPath, all_paths, cell_paths, from_depth, pyramid, staircase
 from catborel.ideals import BasicIdeal
 from catborel.loopalgebra import Span, TruncatedLoopAlgebra
 from catborel.rootsys import FiniteRootSystem, WindowPoset, WindowRoot, build_root_system, window
@@ -95,10 +97,25 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     assert getattr(a, field) is before
 
 
+# every cached property of DyckPath
+PATH_STATISTICS = (
+    "depth",
+    "valleys",
+    "first_peak",
+    "last_peak",
+    "tall_peaks",
+    "floor_valleys",
+    "floor_gap_points",
+    "roots_above",
+    "roots_below",
+    "depth_iterates",
+)
+
+
 def test_dyck_path_statistics_stay_cached():
     p = DyckPath("rrfrff")
-    assert p.depth is p.depth
-    assert p.valleys is p.valleys
+    for name in PATH_STATISTICS:
+        assert getattr(p, name) is getattr(p, name), name
     assert p.valleys == ((3, 1),)
 
 
@@ -142,10 +159,25 @@ def test_poset_built_by_keyword():
 
 
 @given(st.integers(1, 12).flatmap(dyck_words))
-def test_equal_paths_share_cache_entries(word):
+def test_equal_paths_hash_equal_and_cache_per_object(word):
     p, twin = DyckPath(word), DyckPath("".join(list(word)))
-    first = floor_valleys(p)
-    before = floor_valleys.cache_info()
-    assert floor_valleys(twin) is first
-    after = floor_valleys.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert p == twin and hash(p) == hash(twin)
+    assert p.floor_valleys == twin.floor_valleys
+    assert p.floor_valleys is p.floor_valleys
+
+
+@settings(deadline=None)
+@given(st.integers(1, 12).flatmap(dyck_words))
+def test_statistics_do_not_depend_on_how_a_path_was_built(word):
+    # each object computes its own statistics: read them in word order on
+    # one copy and in reverse on another, so no copy depends on the order
+    p = DyckPath(word)
+    n, words = p.semilength, lambda x: x.word
+    listed = all_paths(n)[bisect_left(all_paths(n), word, key=words)]
+    cell = cell_paths(n, p.first_peak, p.last_peak)
+    member = cell[bisect_left(cell, word, key=words)]
+    built = [p, from_depth(DyckPath(word).depth), listed, member]
+    assert all(x == p for x in built)
+    stats = [[getattr(x, name) for name in PATH_STATISTICS] for x in built[:3]]
+    stats.append([getattr(member, name) for name in reversed(PATH_STATISTICS)][::-1])
+    assert stats[1:] == stats[:-1]
